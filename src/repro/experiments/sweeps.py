@@ -896,8 +896,7 @@ def measure_tape_memory(
     * **shard scaling** — planned single-thread vs sharded execution with
       the thread count the CPU platform engine recommends
       (:meth:`repro.platforms.base.PlatformEngine.execution_options`),
-      reported for the log domain, whose ``logaddexp`` kernels release the
-      GIL for the longest stretches.  Scaling above 1 needs real cores:
+      reported for the log domain.  Scaling above 1 needs real cores:
       ``cpu_count`` travels with the result so the benchmark gate can
       restrict itself to hosts with >= 4.
 
@@ -1132,9 +1131,11 @@ def measure_observability_overhead(
 
     * **disabled** (``configure(metrics=False, tracing=False)``) — the
       instrumented :meth:`~repro.spn.compiled.CompiledTape.execute_batch`
-      against the raw planned kernel loop
-      (:func:`~repro.spn.memplan.execute_plan` on the same
-      :class:`~repro.spn.memplan.MemoryPlan`).  The instrumentation adds
+      against the raw planned kernel loops — the linear
+      :func:`~repro.spn.memplan.execute_plan` on the same
+      :class:`~repro.spn.memplan.MemoryPlan` turned into log answers by
+      :func:`~repro.spn.memplan.certified_log`, the arithmetic every
+      log-domain pass runs.  The instrumentation adds
       one contextvar read per batch; the gate requires the ratio <= 1.02.
     * **enabled** (metrics + tracing on) — :meth:`InferenceSession.run`
       with span recording against the same call with observability off.
@@ -1155,7 +1156,7 @@ def measure_observability_overhead(
     from ..api.session import InferenceSession
     from ..observability import TapeProfiler, observability_scope
     from ..spn.generate import random_evidence
-    from ..spn.memplan import execute_plan
+    from ..spn.memplan import certified_log, execute_plan
     from ..suite.registry import benchmark_n_vars, benchmark_tape
 
     tape = benchmark_tape(benchmark)
@@ -1170,8 +1171,15 @@ def measure_observability_overhead(
     query = LogLikelihood(evidence=evidence)
 
     def run_raw():
+        # The executor's log-domain arithmetic without its dispatch: the
+        # linear program, np.log of the root, and the exact log program for
+        # the rows below the certified floor.
         with observability_scope(metrics=False, tracing=False):
-            return execute_plan(plan, evidence, log_domain=True)
+            return certified_log(
+                execute_plan(plan, evidence),
+                tape.log_floor(),
+                lambda rows: execute_plan(plan, evidence[rows], log_domain=True),
+            )
 
     def run_disabled():
         with observability_scope(metrics=False, tracing=False):
@@ -1279,7 +1287,9 @@ def measure_static_analysis() -> Dict[str, object]:
     * **lint** — finding count over the installed ``repro`` package source
       (gated at zero) plus what the abstract interpreter proved
       (normalization for all nine; which profiles carry linear-domain
-      underflow risk).
+      underflow risk; each profile's certified log floor, the smallest
+      linear root whose ``log`` a log-domain pass answers directly, and the
+      largest documented log tolerance).
     """
     import time as _time
     from pathlib import Path as _Path
@@ -1299,6 +1309,8 @@ def measure_static_analysis() -> Dict[str, object]:
     false_positives = 0
     proved_normalized = 0
     underflow_flagged = []
+    log_floors: Dict[str, float] = {}
+    log_tolerance = 0.0
     applied = 0
     detected = 0
     for name in benchmark_names():
@@ -1322,6 +1334,8 @@ def measure_static_analysis() -> Dict[str, object]:
             proved_normalized += 1
         if analysis.underflow_risk:
             underflow_flagged.append(name)
+        log_floors[name] = analysis.log_floor
+        log_tolerance = max(log_tolerance, analysis.log_tolerance)
 
         for seed, mutator in enumerate(MUTATORS):
             result = mutate(mutator, tape, plan, seed=seed + 1)
@@ -1347,6 +1361,8 @@ def measure_static_analysis() -> Dict[str, object]:
         "false_positives": false_positives,
         "proved_normalized": proved_normalized,
         "underflow_flagged": sorted(underflow_flagged),
+        "log_floors": log_floors,
+        "log_tolerance_max": log_tolerance,
         "lint_findings": lint_findings,
     }
 

@@ -27,6 +27,13 @@ resolved profiler into its worker threads explicitly (context variables
 do not cross thread-pool boundaries); :meth:`TapeProfiler.record` is
 thread-safe, so shard samples merge into the same aggregate.
 
+A log-domain pass runs the linear program and reruns only the rows it
+cannot certify through the exact log-domain program
+(:meth:`repro.spn.compiled.CompiledTape.execute_batch`).  That fallback
+pass records through :meth:`TapeProfiler.fallback`: its kernels appear
+under ``fallback/``-prefixed keys and it counts in
+:attr:`TapeProfiler.fallback_passes`, never in :attr:`TapeProfiler.n_passes`.
+
 Aggregation is by **kernel key** (tape position, opcode, fused width):
 :meth:`TapeProfiler.table` returns the "top kernels" rows sorted by total
 elapsed, with share-of-total columns, and :meth:`TapeProfiler.render`
@@ -40,7 +47,10 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-__all__ = ["KernelStat", "TapeProfiler", "active_profiler"]
+__all__ = ["FALLBACK_PREFIX", "KernelStat", "TapeProfiler", "active_profiler"]
+
+#: Key prefix of kernel samples taken in a log pass's exact fallback pass.
+FALLBACK_PREFIX = "fallback/"
 
 _ACTIVE: ContextVar[Optional["TapeProfiler"]] = ContextVar(
     "repro_tape_profiler", default=None
@@ -84,6 +94,10 @@ class TapeProfiler:
     #: the kernel loop) — the denominator of :meth:`coverage`.
     pass_elapsed_s: float = 0.0
     n_passes: int = 0
+    #: Exact log-domain passes over a log pass's uncertified rows (their
+    #: wall time is in ``pass_elapsed_s``, their kernels under
+    #: :data:`FALLBACK_PREFIX` keys).
+    fallback_passes: int = 0
     _stats: Dict[str, KernelStat] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -112,11 +126,18 @@ class TapeProfiler:
                 self._stats[key] = stat
             stat.merge_sample(elapsed_s, rows, nbytes)
 
-    def record_pass(self, elapsed_s: float) -> None:
+    def record_pass(self, elapsed_s: float, fallback: bool = False) -> None:
         """Account one whole tape pass's wall time (coverage denominator)."""
         with self._lock:
             self.pass_elapsed_s += elapsed_s
-            self.n_passes += 1
+            if fallback:
+                self.fallback_passes += 1
+            else:
+                self.n_passes += 1
+
+    def fallback(self) -> "_FallbackRecorder":
+        """The recorder a log pass hands its exact fallback pass."""
+        return _FallbackRecorder(self)
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -182,8 +203,29 @@ class TapeProfiler:
                 f"{row['share']:>6.1%} {row['rows']:>10} "
                 f"{row['bytes'] / 1e6:>9.2f} {row['gb_per_s']:>6.1f}"
             )
+        fallback = (
+            f" + {self.fallback_passes} fallback passes" if self.fallback_passes else ""
+        )
         lines.append(
             f"total: {self.total_elapsed_s * 1e3:.3f} ms kernel time over "
-            f"{self.n_passes} passes ({self.coverage():.1%} of pass wall time)"
+            f"{self.n_passes} passes{fallback} "
+            f"({self.coverage():.1%} of pass wall time)"
         )
         return "\n".join(lines)
+
+
+class _FallbackRecorder:
+    """Records into a :class:`TapeProfiler` as a log pass's fallback pass."""
+
+    __slots__ = ("_profiler",)
+
+    def __init__(self, profiler: TapeProfiler) -> None:
+        self._profiler = profiler
+
+    def record(
+        self, key: str, op: str, width: int, elapsed_s: float, rows: int, nbytes: int
+    ) -> None:
+        self._profiler.record(FALLBACK_PREFIX + key, op, width, elapsed_s, rows, nbytes)
+
+    def record_pass(self, elapsed_s: float) -> None:
+        self._profiler.record_pass(elapsed_s, fallback=True)

@@ -23,10 +23,9 @@ Compilation (:func:`compile_tape`) lowers an
    gather index vectors and its destination slice.
 
 Execution (:meth:`CompiledTape.execute_batch`) runs one
-``np.add``/``np.multiply`` (or ``np.logaddexp``/``np.add`` in the log
-domain) per kernel, reading operands through copy-free slice views when a
-kernel's operand range is contiguous (the common case after the reorder
-step) and fancy-indexed gathers otherwise.  The whole batch is evaluated
+``np.add``/``np.multiply`` per kernel, reading operands through copy-free
+slice views when a kernel's operand range is contiguous (the common case
+after the reorder step) and fancy-indexed gathers otherwise.  The whole batch is evaluated
 with ``O(depth)`` NumPy calls instead of ``O(n_operations * n_rows)``
 Python bytecode.  The value buffer depends on the execution mode
 (``execution=``, see :mod:`repro.spn.memplan`): the default **planned**
@@ -36,9 +35,13 @@ adds row-shard thread parallelism for very large batches, and **legacy**
 keeps the original dense ``(n_slots, n_rows)`` slot matrix — all three
 bit-identical.
 
-A log-domain variant (``log_domain=True``) evaluates the same tape with
-``+`` for products and ``logaddexp`` for sums, which is numerically safe for
-deep networks whose linear-domain values underflow.
+A log-domain pass (``log_domain=True``) runs the same linear program and
+takes ``np.log`` of each row's root.  Rows whose linear root falls below
+the tape's certified floor (:meth:`CompiledTape.log_floor`, derived by the
+interval analysis of :mod:`repro.statics.absint`) — deep networks whose
+linear values underflow, and exact zeros — are rerun through the exact
+log-domain program (``+`` for products, ``logaddexp`` for sums), so every
+answer is within the documented tolerance of the exact log probability.
 
 Evidence batches follow the canonical convention documented at
 :data:`repro.spn.evaluate.MARGINALIZED`: integer arrays of shape
@@ -78,6 +81,7 @@ from .memplan import (
     MemoryPlan,
     _as_stride_slice as _as_slice,
     _blocked_plan,
+    certified_log,
     execute_sharded,
     plan_memory,
     resolve_execution,
@@ -270,6 +274,9 @@ class CompiledTape:
         # single set of per-thread scratch buffers.
         self._plan_cache: Dict[Tuple[bool, int], MemoryPlan] = {}
         self._plan_lock = threading.Lock()
+        # Certified log floor (see log_floor()), derived on the first
+        # log-domain pass under the plan lock.
+        self._log_floor: Optional[float] = None
         # Cached shape and canonical-value tables.  Kernel *structure* is
         # fixed at construction (structural edits build a fresh tape), so the
         # width sum is a constant; the tables depend only on ``inputs`` and
@@ -391,8 +398,9 @@ class CompiledTape:
             b = slots[view1 if view1 is not None else kernel.arg1]
             dest = slots[kernel.dest_start : kernel.dest_stop]
             if log_domain:
-                # Products add log-values; sums combine with logaddexp, which
-                # handles -inf (zero probability) operands exactly.
+                # The exact log-domain program: products add log-values;
+                # sums combine with logaddexp, which handles -inf (zero
+                # probability) operands exactly.
                 np.logaddexp(a, b, out=dest) if kernel.is_add else np.add(a, b, out=dest)
             else:
                 np.add(a, b, out=dest) if kernel.is_add else np.multiply(a, b, out=dest)
@@ -490,15 +498,60 @@ class CompiledTape:
         cache-resident (big-batch execution otherwise degrades
         superlinearly once the matrix spills to RAM) — the planned modes
         fit several times more rows per block.
+
+        A log-domain batch runs the **linear** program and takes ``np.log``
+        of each row's root (:func:`~repro.spn.memplan.certified_log`).
+        Rows whose linear root falls below the tape's certified
+        :meth:`log_floor` — including zero, ``inf`` and ``NaN`` roots — are
+        rerun through the exact log-domain program (products add, sums
+        ``logaddexp``), so exact zeros still come out as ``-inf``; a tape
+        whose floor is ``inf`` runs the exact program for every row.  The
+        switch sits above the executor choice, so every mode stays
+        bit-identical and a row's answer never depends on its batch.
         """
         data = np.asarray(data)
         if data.ndim != 2:
             raise ValueError(f"expected a 2-D evidence array, got shape {data.shape}")
+        data = as_evidence_array(data)
         options = resolve_execution(execution)
-        n_rows = data.shape[0]
         # Resolved once per batch: ``None`` (no profiler active) keeps every
         # executor below on its uninstrumented kernel loop.
         profiler = active_profiler()
+        if not log_domain:
+            return self._execute(data, False, options, profiler)
+        floor = self.log_floor()
+        if floor == np.inf:  # the linear pass may overflow: certify nothing
+            return self._execute(data, True, options, profiler)
+
+        def exact(rows: np.ndarray) -> np.ndarray:
+            fallback = profiler.fallback() if profiler is not None else None
+            return self._execute(data[rows], True, options, fallback)
+
+        return certified_log(self._execute(data, False, options, profiler), floor, exact)
+
+    def log_floor(self) -> float:
+        """Smallest linear root whose ``np.log`` is a certified log answer.
+
+        :attr:`repro.statics.absint.TapeAnalysis.log_floor`, derived from
+        the interval analysis on the first log-domain pass and cached on
+        the tape (``inf`` for tapes whose linear pass may overflow: every
+        row then takes the exact log-domain program).
+        """
+        floor = self._log_floor
+        if floor is None:
+            from ..statics.absint import analyze_tape
+
+            with self._plan_lock:
+                if self._log_floor is None:
+                    self._log_floor = analyze_tape(self).log_floor
+                floor = self._log_floor
+        return floor
+
+    def _execute(
+        self, data: np.ndarray, log_domain: bool, options: ExecutionOptions, profiler
+    ) -> np.ndarray:
+        """Run one domain's program on validated evidence via ``options``."""
+        n_rows = data.shape[0]
         if options.mode == "legacy" or not self.kernels:
             # A kernel-less tape (the SPN is a single leaf) has no program
             # to plan; the dense path answers it directly.
@@ -516,12 +569,14 @@ class CompiledTape:
                 out[start : start + block] = chunk[self.root_slot]
             return out
         plan = self.memory_plan(fuse=options.fuse, fuse_width=options.fuse_width)
-        data = as_evidence_array(data)
         if options.check:
             # Static verification precedes the value replay: dataflow
             # violations (aliased slots, understated liveness) are proved
             # wholesale rather than hoped-to-surface on the prefix rows.
-            # Memoized per plan object — checked batches pay it once.
+            # Memoized per plan object — checked batches pay it once.  The
+            # replay runs the domain that actually executes: the linear
+            # program on the batch prefix, and the log program on the
+            # first rows that fall back to it.
             if not getattr(plan, "_statics_verified", False):
                 from ..statics.verifier import verify_compiled
 

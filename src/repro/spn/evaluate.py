@@ -288,8 +288,11 @@ def evaluate_log_batch(
 
     The ``"python"`` engine is the reference: it evaluates every row with
     :func:`evaluate_log` (slow, one graph walk per row).  The
-    ``"vectorized"`` engine runs the compiled tape in the log domain
-    (products add, sums combine with ``logaddexp``).  Rows with zero
+    ``"vectorized"`` engine runs the compiled tape's linear program and
+    takes ``np.log`` of each root, rerunning only the rows below the
+    tape's certified floor through the exact log-domain program (products
+    add, sums ``logaddexp``); see
+    :meth:`~repro.spn.compiled.CompiledTape.execute_batch`.  Rows with zero
     probability return ``-inf``.  ``data`` follows the
     :data:`MARGINALIZED` convention; ``check`` and ``execution`` behave as
     in :func:`evaluate_batch`.

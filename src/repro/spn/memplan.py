@@ -51,7 +51,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,6 +69,7 @@ __all__ = [
     "plan_memory",
     "plan_to_payload",
     "plan_from_payload",
+    "certified_log",
     "execute_plan",
     "execute_sharded",
     "verify_plan",
@@ -1068,6 +1069,30 @@ def plan_from_payload(payload: dict) -> MemoryPlan:
 # --------------------------------------------------------------------------- #
 # Execution
 # --------------------------------------------------------------------------- #
+def certified_log(
+    linear: np.ndarray,
+    floor: float,
+    exact: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Turn a linear pass's root values into log-domain answers, in place.
+
+    A row whose linear root ``r`` satisfies ``floor <= r < inf`` gets
+    ``np.log(r)``; ``floor`` is the tape's certified log floor
+    (:attr:`repro.statics.absint.TapeAnalysis.log_floor`), above which the
+    linear pass's underflow error is provably negligible.  Every other row
+    — below the floor, zero, ``inf`` or ``NaN`` — is passed as an index
+    vector to ``exact``, which returns those rows' values from the exact
+    log-domain program.  Each row's answer depends on that row alone.
+    """
+    accept = linear >= floor
+    accept &= linear < np.inf
+    np.log(linear, out=linear, where=accept)
+    rows = np.flatnonzero(~accept)
+    if rows.size:
+        linear[rows] = exact(rows)
+    return linear
+
+
 def _encode_inputs(
     encode: InputEncoding,
     block: np.ndarray,

@@ -35,7 +35,9 @@ def _verify_one(label: str, tape, plans) -> bool:
     facts = (
         f"kernels={tape_facts.n_kernels} slots={tape.n_slots} "
         f"plans={len(plans)} proves_log<=0={analysis.proves_log_nonpositive} "
-        f"underflow_risk={analysis.underflow_risk}"
+        f"underflow_risk={analysis.underflow_risk} "
+        f"log_floor={analysis.log_floor:.3g} G={analysis.error_gain:.4g} "
+        f"log_tol={analysis.log_tolerance:.2g}"
     )
     print(f"ok   {label}: {facts} ({elapsed:.0f} ms)")
     return True

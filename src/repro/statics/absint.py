@@ -26,6 +26,21 @@ per slot — and derives facts that hold for **every** evidence batch:
   conditional query hit in this repository's history (joint/evidence
   division by an underflowed denominator), now flagged at compile time and
   answered by routing through the log domain.
+* **Certified linear log floor** — a backward pass over the interval upper
+  bounds bounds each slot's *sensitivity* ``adj[s]`` (how far the root
+  moves per unit of error injected at ``s``): ``adj[root] = 1``, a sum
+  passes ``adj[dest]`` to each operand, a product passes
+  ``adj[dest] * hi[other operand]``.  Below the normal range every
+  float64 rounding adds at most ``2**-1075`` absolute error, so
+  ``G = sum(adj)`` over the operation slots bounds the total effect on
+  the root of every subnormal rounding.  A linear root ``r`` with
+  ``log_floor = G * 2**-1074 * 2**40 <= r < inf`` therefore carries at
+  most a ``2**-41`` relative error from underflow, and ``log(r)`` is
+  within :attr:`TapeAnalysis.log_tolerance` of the exact log
+  probability.  This is what lets
+  :meth:`~repro.spn.compiled.CompiledTape.execute_batch` answer log-domain
+  passes with one linear pass plus a per-row ``log``, rerunning only the
+  rows below the floor through the exact ``logaddexp`` program.
 
 The pass is vectorized per tape kernel (a few hundred NumPy calls per tape)
 and costs far less than compilation; it runs on every ``python -m
@@ -38,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TapeAnalysis", "analyze_tape", "LOG_TINY"]
+__all__ = ["TapeAnalysis", "analyze_tape", "slot_sensitivity", "LOG_TINY"]
 
 #: ``log`` of the smallest positive *normal* float64 — positive values whose
 #: static log lower bound falls below this may underflow to ``0.0`` in a
@@ -48,6 +63,23 @@ LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
 #: Slack for the normalization proof: a weighted sum whose float weights sum
 #: to 1.0 can accumulate a few ULPs above 1 across a deep reduction.
 NORMALIZATION_TOLERANCE = 1e-6
+
+#: The smallest positive float64.  One rounding below the normal range adds
+#: at most half of it (``2**-1075``) as absolute error.
+_SMALLEST_SUBNORMAL = 2.0 ** -1074
+
+#: The floor is ``2**40 * G * 2**-1074``, i.e. ``2**41`` times the total
+#: subnormal error ``G * 2**-1075``: a root at or above it carries at most a
+#: ``2**-41`` relative error from underflow, and the tolerance's ``2**-40``
+#: keeps a factor of two for the first-order bound's slack.
+_FLOOR_MARGIN = 2.0 ** 40
+
+#: ``G`` times this is the floor: one normal power of two, so the product
+#: rounds once even when the floor itself is subnormal.
+_FLOOR_SCALE = _SMALLEST_SUBNORMAL * _FLOOR_MARGIN
+
+#: Unit roundoff of float64 round-to-nearest.
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -79,6 +111,34 @@ class TapeAnalysis:
     overflow_possible: bool
     #: Depth of the deepest dependency chain (ASAP level of the last kernel).
     depth: int
+    #: ``G``: sum of every operation slot's sensitivity bound — the root's
+    #: worst-case gain on errors injected inside the tape (``inf`` when the
+    #: interval bounds are not finite).
+    error_gain: float
+    #: Most roundings any single term of the root polynomial passes
+    #: through: ``0`` at inputs, ``max(a, b) + 1`` at a sum,
+    #: ``a + b + 1`` at a product.  At least ``depth``, because a product
+    #: of ``n`` factors rounds ``n - 1`` times whatever its tree shape.
+    rounding_depth: int
+    #: Smallest linear root whose ``log`` is certified:
+    #: ``G * 2**-1074 * 2**40`` (never below the smallest subnormal, so a
+    #: zero root is never certified), or ``inf`` when the tape may
+    #: overflow or has constants outside ``[0, inf)``.
+    log_floor: float
+
+    @property
+    def log_tolerance(self) -> float:
+        """Absolute bound on ``|log(r) - log(p)|`` for a certified root.
+
+        ``r`` is the linear pass's root (``log_floor <= r < inf``) and
+        ``p`` the exact probability: ``rounding_depth * 2**-52`` covers
+        the relative rounding of every term (twice the first-order
+        ``rounding_depth * 2**-53``, which absorbs the higher-order terms
+        and the float rounding of the bounds themselves) and ``2**-40``
+        the subnormal error the floor admits.  The final float ``np.log``
+        adds at most two ulps of its output on top.
+        """
+        return self.rounding_depth * 2.0 * _UNIT_ROUNDOFF + 2.0 ** -40
 
 
 def analyze_tape(tape, tolerance: float = NORMALIZATION_TOLERANCE) -> TapeAnalysis:
@@ -112,6 +172,7 @@ def analyze_tape(tape, tolerance: float = NORMALIZATION_TOLERANCE) -> TapeAnalys
                 log_min_pos[spec.index] = np.inf
                 can_zero[spec.index] = True
 
+    rounds = np.zeros(n_slots, dtype=np.float64)
     with np.errstate(invalid="ignore", over="ignore"):
         for kernel in tape.kernels:
             dest = slice(kernel.dest_start, kernel.dest_stop)
@@ -123,12 +184,14 @@ def analyze_tape(tape, tolerance: float = NORMALIZATION_TOLERANCE) -> TapeAnalys
                 # of non-negatives is >= each of them.
                 log_min_pos[dest] = np.minimum(log_min_pos[a0], log_min_pos[a1])
                 can_zero[dest] = can_zero[a0] & can_zero[a1]
+                rounds[dest] = np.maximum(rounds[a0], rounds[a1]) + 1.0
             else:
                 lo[dest] = lo[a0] * lo[a1]
                 hi[dest] = hi[a0] * hi[a1]
                 # A positive product has both factors positive.
                 log_min_pos[dest] = log_min_pos[a0] + log_min_pos[a1]
                 can_zero[dest] = can_zero[a0] | can_zero[a1]
+                rounds[dest] = rounds[a0] + rounds[a1] + 1.0
 
     root = tape.root_slot
     root_upper = float(hi[root])
@@ -136,6 +199,11 @@ def analyze_tape(tape, tolerance: float = NORMALIZATION_TOLERANCE) -> TapeAnalys
         root_log_upper = float(np.log(root_upper)) if root_upper >= 0 else np.nan
     min_positive_log = float(log_min_pos[root])
     op_hi = hi[n_inputs:] if n_slots > n_inputs else hi
+    adj = slot_sensitivity(tape, hi)
+    gain = float(adj[n_inputs:].sum())
+    # Negative constants break the monotonicity every bound above rests on.
+    certifiable = np.isfinite(gain) and np.all(np.isfinite(hi)) and np.all(lo >= 0.0)
+    log_floor = max(gain * _FLOOR_SCALE, _SMALLEST_SUBNORMAL) if certifiable else np.inf
     return TapeAnalysis(
         root_lower=float(lo[root]),
         root_upper=root_upper,
@@ -146,4 +214,31 @@ def analyze_tape(tape, tolerance: float = NORMALIZATION_TOLERANCE) -> TapeAnalys
         underflow_risk=bool(min_positive_log < LOG_TINY),
         overflow_possible=bool(not np.all(np.isfinite(op_hi))),
         depth=tape.kernels[-1].level if tape.kernels else 0,
+        error_gain=gain,
+        rounding_depth=int(rounds[root]),
+        log_floor=float(log_floor),
     )
+
+
+def slot_sensitivity(tape, hi: np.ndarray) -> np.ndarray:
+    """Upper bounds on ``d root / d slot`` over every evidence batch.
+
+    One backward pass in reverse tape order (every consumer of a slot
+    comes after it): ``adj[root] = 1``; a sum adds ``adj[dest]`` to each
+    operand, a product adds ``adj[dest] * hi[other operand]``, where
+    ``hi`` are the linear interval upper bounds.  Sound for tapes with
+    non-negative inputs, where both operations are monotone and the
+    partial derivative of a product by one operand is the other operand.
+    """
+    adj = np.zeros(tape.n_slots, dtype=np.float64)
+    adj[tape.root_slot] = 1.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for kernel in reversed(tape.kernels):
+            grad = adj[kernel.dest_start : kernel.dest_stop].copy()
+            if kernel.is_add:
+                np.add.at(adj, kernel.arg0, grad)
+                np.add.at(adj, kernel.arg1, grad)
+            else:
+                np.add.at(adj, kernel.arg0, grad * hi[kernel.arg1])
+                np.add.at(adj, kernel.arg1, grad * hi[kernel.arg0])
+    return adj
