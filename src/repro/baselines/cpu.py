@@ -107,7 +107,7 @@ class CpuConfig:
             raise ValueError("front-end parameters must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MicroOp:
     """One micro-operation of the expanded trace."""
 
@@ -258,6 +258,19 @@ def simulate_cpu(ops: OperationList, config: Optional[CpuConfig] = None) -> CpuR
         _STORE: config.store_latency,
         _INT: 1,
     }
+    ports = {
+        _ARITH: config.fp_ports,
+        _LOAD: config.load_ports,
+        _STORE: config.store_ports,
+        _INT: 2,
+    }
+    # Per-micro-op columns: port class (an index into the per-cycle port
+    # budget), latency and producers.
+    kinds = list(ports)
+    kind_of = [kinds.index(uop.kind) for uop in trace]
+    latency_of = [latency[uop.kind] for uop in trace]
+    deps_of = [uop.deps for uop in trace]
+    bytes_per_microop = config.bytes_per_microop
     completion = [0] * n
     issued = [False] * n
     head = 0  # first not-yet-issued micro-op
@@ -269,29 +282,26 @@ def simulate_cpu(ops: OperationList, config: Optional[CpuConfig] = None) -> CpuR
         cycle += 1
         slots_left = config.issue_width
         bytes_left = config.frontend_bytes_per_cycle
-        port_left = {
-            _ARITH: config.fp_ports,
-            _LOAD: config.load_ports,
-            _STORE: config.store_ports,
-            _INT: 2,
-        }
+        port_left = list(ports.values())
         window_end = min(n, head + config.window_size)
         for i in range(head, window_end):
-            if slots_left == 0 or bytes_left < config.bytes_per_microop:
+            if slots_left == 0 or bytes_left < bytes_per_microop:
                 break
             if issued[i]:
                 continue
-            uop = trace[i]
-            if port_left[uop.kind] == 0:
+            kind = kind_of[i]
+            if port_left[kind] == 0:
                 continue
-            if any(completion[d] > cycle for d in uop.deps):
-                continue
-            issued[i] = True
-            completion[i] = cycle + latency[uop.kind]
-            slots_left -= 1
-            bytes_left -= config.bytes_per_microop
-            port_left[uop.kind] -= 1
-            n_issued += 1
+            for d in deps_of[i]:
+                if completion[d] > cycle:
+                    break
+            else:
+                issued[i] = True
+                completion[i] = cycle + latency_of[i]
+                slots_left -= 1
+                bytes_left -= bytes_per_microop
+                port_left[kind] -= 1
+                n_issued += 1
         while head < n and issued[head]:
             head += 1
 

@@ -15,7 +15,7 @@ Algorithm 3 produces — is kept as a baseline for ablation.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..spn.linearize import OperationList
@@ -48,10 +48,12 @@ def warp_access_steps(ops: OperationList, warp_ops: Sequence[int]) -> List[List[
     shared by the conflict-graph builder, the conflict counter and the GPU
     timing model (:func:`repro.baselines.gpu.simulate_gpu`).
     """
+    operations = ops.operations
+    base = ops.n_inputs  # operation j writes slot n_inputs + j
     return [
-        [ops.operations[j].arg0 for j in warp_ops],
-        [ops.operations[j].arg1 for j in warp_ops],
-        [ops.dest_slot(j) for j in warp_ops],
+        [operations[j].arg0 for j in warp_ops],
+        [operations[j].arg1 for j in warp_ops],
+        [base + j for j in warp_ops],
     ]
 
 
@@ -61,10 +63,11 @@ def step_transactions(slots: Sequence[int], bank_of: Sequence[int]) -> int:
     Accesses mapping to the same bank serialize, so a step costs as many
     transactions as its most-loaded bank; a conflict-free step costs one.
     """
-    counts: Dict[int, int] = defaultdict(int)
-    for slot in slots:
-        counts[bank_of[slot]] += 1
-    return max(counts.values())
+    banks = list(map(bank_of.__getitem__, slots))
+    distinct = set(banks)
+    if banks and len(distinct) == len(banks):
+        return 1
+    return max(map(banks.count, distinct))
 
 
 def _warp_accesses(
@@ -95,15 +98,18 @@ def conflict_graph(
     Two slots are connected when some warp accesses both in the same step, so
     giving them different banks removes that serialization.
     """
-    graph: Dict[int, Set[int]] = defaultdict(set)
+    graph: Dict[int, Set[int]] = {}
     for access in _warp_accesses(ops, n_threads, warp_size):
-        unique = sorted(set(access))
-        for i, a in enumerate(unique):
-            graph.setdefault(a, set())
-            for b in unique[i + 1 :]:
-                graph[a].add(b)
-                graph[b].add(a)
-    return dict(graph)
+        unique = set(access)
+        # Keys enter in ascending slot order per access: color_banks breaks
+        # degree ties by key order.
+        for a in sorted(unique):
+            neighbours = graph.get(a)
+            if neighbours is None:
+                neighbours = graph[a] = set()
+            neighbours.update(unique)
+            neighbours.discard(a)
+    return graph
 
 
 def color_banks(
@@ -121,17 +127,16 @@ def color_banks(
     order = sorted(graph, key=lambda s: len(graph[s]), reverse=True)
     usage = [0] * n_banks
     for slot in order:
-        neighbour_colors = defaultdict(int)
-        for other in graph[slot]:
-            if assignment[other] >= 0:
-                neighbour_colors[assignment[other]] += 1
+        neighbours = graph[slot]
+        neighbour_colors = set(map(assignment.__getitem__, neighbours))
         free = [c for c in range(n_banks) if c not in neighbour_colors]
         if free:
             # Among the free colors pick the globally least used one to keep
             # the banks balanced.
-            color = min(free, key=lambda c: usage[c])
+            color = min(free, key=usage.__getitem__)
         else:
-            color = min(range(n_banks), key=lambda c: (neighbour_colors[c], usage[c]))
+            counts = Counter(map(assignment.__getitem__, neighbours))
+            color = min(range(n_banks), key=lambda c: (counts[c], usage[c]))
         assignment[slot] = color
         usage[color] += 1
     # Slots never touched by any warp (for example the final result before it

@@ -30,14 +30,14 @@ because they also shorten dependence chains and save register-file traffic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..spn.linearize import OperationList
 
 __all__ = ["ConeOperand", "Cone", "ConeGraph", "extract_cones"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConeOperand:
     """One operand of an operation inside a cone.
 
@@ -60,9 +60,13 @@ class ConeOperand:
         return ConeOperand(kind="external", slot=slot)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Cone:
     """A cone of operations rooted at ``root_op``.
+
+    Cones are built once by :func:`extract_cones` and never change, so the
+    facts the scheduler reads on every placement attempt (operand slots,
+    height) are computed at construction.
 
     Attributes
     ----------
@@ -80,23 +84,42 @@ class Cone:
     outputs:
         Members whose results are written back to the register file: the root
         plus every member whose value is also consumed outside this cone.
+    external_slots:
+        Slots read from the register file, one entry per operand reference.
+    operand_slots:
+        The distinct ``external_slots`` in ``set`` iteration order; each is
+        read once per issue, and the order decides which operand of a bank
+        clash gets a relocation copy.
+    height:
+        Longest root-to-member path (a single operation has height 0).
     """
 
     index: int
     root_op: int
-    members: List[int] = field(default_factory=list)
-    operands: Dict[int, Tuple[ConeOperand, ConeOperand]] = field(default_factory=dict)
-    depth_from_root: Dict[int, int] = field(default_factory=dict)
-    outputs: List[int] = field(default_factory=list)
+    members: Tuple[int, ...]
+    operands: Dict[int, Tuple[ConeOperand, ConeOperand]]
+    depth_from_root: Dict[int, int]
+    outputs: Tuple[int, ...]
+    external_slots: Tuple[int, ...] = field(init=False)
+    operand_slots: Tuple[int, ...] = field(init=False)
+    height: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        slots = tuple(
+            [
+                operand.slot
+                for op_index in self.members
+                for operand in self.operands[op_index]
+                if operand.kind == "external"
+            ]
+        )
+        object.__setattr__(self, "external_slots", slots)
+        object.__setattr__(self, "operand_slots", tuple(set(slots)))
+        object.__setattr__(self, "height", max(self.depth_from_root.values()))
 
     @property
     def n_ops(self) -> int:
         return len(self.members)
-
-    @property
-    def height(self) -> int:
-        """Longest root-to-member path (a single operation has height 0)."""
-        return max(self.depth_from_root.values())
 
     @property
     def depth(self) -> int:
@@ -107,38 +130,48 @@ class Cone:
         """PE level a member executes on when the root sits at the cone height."""
         return self.height - self.depth_from_root[op_index]
 
-    def external_slots(self) -> List[int]:
-        """Slots read from the register file, one entry per operand reference."""
-        slots = []
-        for op_index in self.members:
-            for operand in self.operands[op_index]:
-                if operand.kind == "external":
-                    slots.append(operand.slot)
-        return slots
 
-
-@dataclass
+@dataclass(frozen=True)
 class ConeGraph:
-    """The cone cover of an operation list plus its dependence structure."""
+    """The cone cover of an operation list plus its dependence structure.
+
+    The dependence edges between cones are derived once, at construction.
+    """
 
     ops: OperationList
-    cones: List[Cone]
+    cones: Tuple[Cone, ...]
     #: Cone producing each operation-result slot that is written to the
     #: register file.
     producer: Dict[int, int]
+    _predecessors: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False)
+    _consumers: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        producer = self.producer.get
+        predecessors = []
+        consumers: List[List[int]] = [[] for _ in self.cones]
+        for cone in self.cones:
+            index = cone.index
+            preds = {producer(slot, index) for slot in cone.operand_slots}
+            preds.discard(index)  # slots without a producer map to the cone itself
+            ordered = tuple(sorted(preds))
+            predecessors.append(ordered)
+            for pred in ordered:
+                consumers[pred].append(index)
+        object.__setattr__(self, "_predecessors", tuple(predecessors))
+        object.__setattr__(self, "_consumers", tuple(map(tuple, consumers)))
 
     @property
     def n_cones(self) -> int:
         return len(self.cones)
 
-    def predecessors(self, cone: Cone) -> List[int]:
-        """Indices of cones whose outputs this cone reads."""
-        preds = set()
-        for slot in cone.external_slots():
-            producer = self.producer.get(slot)
-            if producer is not None and producer != cone.index:
-                preds.add(producer)
-        return sorted(preds)
+    def predecessors(self, cone: Cone) -> Tuple[int, ...]:
+        """Indices of cones whose outputs this cone reads, ascending."""
+        return self._predecessors[cone.index]
+
+    def consumers(self, cone: Cone) -> Tuple[int, ...]:
+        """Indices of cones reading this cone's outputs, ascending."""
+        return self._consumers[cone.index]
 
     def average_ops_per_cone(self) -> float:
         return self.ops.n_operations / len(self.cones) if self.cones else 0.0
@@ -153,9 +186,9 @@ class ConeGraph:
         levels = [0] * len(self.cones)
         # Creation order is reverse-topological (consumers before producers),
         # so iterating in reverse visits producers before consumers.
-        for cone in reversed(self.cones):
-            preds = self.predecessors(cone)
-            levels[cone.index] = 1 + max((levels[p] for p in preds), default=-1)
+        for index in range(len(self.cones) - 1, -1, -1):
+            preds = self._predecessors[index]
+            levels[index] = 1 + max((levels[p] for p in preds), default=-1)
         return levels
 
     def critical_path_priorities(self) -> List[int]:
@@ -165,17 +198,31 @@ class ConeGraph:
         scheduled first so the chain latency is overlapped with independent
         work.
         """
-        consumers: Dict[int, List[int]] = {c.index: [] for c in self.cones}
-        for cone in self.cones:
-            for pred in self.predecessors(cone):
-                consumers[pred].append(cone.index)
         priority = [0] * len(self.cones)
         # Cones are created in reverse topological order of their roots, so
         # iterating in creation order visits consumers before producers.
-        for cone in self.cones:
-            out = consumers[cone.index]
-            priority[cone.index] = 1 + max((priority[c] for c in out), default=0)
+        for index, out in enumerate(self._consumers):
+            priority[index] = 1 + max((priority[c] for c in out), default=0)
         return priority
+
+
+class _Draft:
+    """A cone under construction; :meth:`_Extractor._finalize` freezes it."""
+
+    __slots__ = (
+        "index", "root_op", "members", "member_set", "operands", "depth_from_root",
+        "external",
+    )
+
+    def __init__(self, index: int, root_op: int) -> None:
+        self.index = index
+        self.root_op = root_op
+        self.members: List[int] = []
+        self.member_set: Set[int] = set()
+        self.operands: Dict[int, Tuple[ConeOperand, ConeOperand]] = {}
+        self.depth_from_root: Dict[int, int] = {}
+        #: Slots read from the register file by the members grown so far.
+        self.external: Set[int] = set()
 
 
 class _Extractor:
@@ -189,6 +236,8 @@ class _Extractor:
         slack_threshold: int,
     ) -> None:
         self._ops = ops
+        self._operations = ops.operations
+        self._n_inputs = n_inputs = ops.n_inputs
         self._max_height = max_depth - 1
         self._min_density = min_density
         self._slack_threshold = slack_threshold
@@ -199,9 +248,10 @@ class _Extractor:
         self._consumers: List[List[int]] = [[] for _ in range(ops.n_operations)]
         for op in ops.operations:
             for arg in (op.arg0, op.arg1):
-                if arg >= ops.n_inputs:
-                    self._consumers[arg - ops.n_inputs].append(op.index)
-        self._slack = self._compute_slack()
+                if arg >= n_inputs:
+                    self._consumers[arg - n_inputs].append(op.index)
+        # Only multi-level cones choose a height, and only that uses the slack.
+        self._slack = self._compute_slack() if self._max_height > 0 else []
 
     def _compute_slack(self) -> List[int]:
         """Scheduling slack of every operation (0 = on the critical path).
@@ -216,11 +266,7 @@ class _Extractor:
             return []
         critical = max(levels)
         # Longest chain starting at each operation (in operations, inclusive).
-        consumers: List[List[int]] = [[] for _ in range(ops.n_operations)]
-        for op in ops.operations:
-            for arg in (op.arg0, op.arg1):
-                if arg >= ops.n_inputs:
-                    consumers[arg - ops.n_inputs].append(op.index)
+        consumers = self._consumers
         down = [1] * ops.n_operations
         for op_index in range(ops.n_operations - 1, -1, -1):
             if consumers[op_index]:
@@ -228,7 +274,7 @@ class _Extractor:
         return [critical - (levels[i] - 1) - down[i] for i in range(ops.n_operations)]
 
     # -- growth ---------------------------------------------------------- #
-    def _absorbable(self, op_index: int, members: set) -> bool:
+    def _absorbable(self, op_index: int, members: Set[int]) -> bool:
         """May ``op_index`` be absorbed into a cone with the given members?
 
         Two rules keep the cover schedulable:
@@ -244,35 +290,37 @@ class _Extractor:
         """
         if self._covered[op_index]:
             return False
-        if any(consumer not in members for consumer in self._consumers[op_index]):
-            return False
-        operation = self._ops.operations[op_index]
+        for consumer in self._consumers[op_index]:
+            if consumer not in members:
+                return False
+        operation = self._operations[op_index]
+        n_inputs = self._n_inputs
         for arg in (operation.arg0, operation.arg1):
-            if arg >= self._ops.n_inputs and (arg - self._ops.n_inputs) in members:
+            if arg >= n_inputs and (arg - n_inputs) in members:
                 return False
         return True
 
-    def _count_ops(self, op_index: int, budget: int, members: set) -> int:
-        """Operations a greedy absorb of ``op_index`` with ``budget`` levels covers."""
-        members = set(members)
-        return self._simulate_grow(op_index, budget, members)
+    def _simulate_grow(self, op_index: int, budget: int, members: Set[int]) -> int:
+        """Operations a greedy absorb of ``op_index`` with ``budget`` levels covers.
 
-    def _simulate_grow(self, op_index: int, budget: int, members: set) -> int:
+        ``members`` collects the absorbed operations.
+        """
         members.add(op_index)
         total = 1
         if budget == 0:
             return total
-        operation = self._ops.operations[op_index]
+        operation = self._operations[op_index]
         # An operation whose two operands are the same value (x + x, x * x)
         # must read it from the register file: absorbing it under one edge
         # would leave the other edge reading a value produced in this very
         # cycle, which the datapath cannot do.
         if operation.arg0 == operation.arg1:
             return total
+        n_inputs = self._n_inputs
         for arg in (operation.arg0, operation.arg1):
-            if arg < self._ops.n_inputs:
+            if arg < n_inputs:
                 continue
-            child = arg - self._ops.n_inputs
+            child = arg - n_inputs
             if self._absorbable(child, members):
                 total += self._simulate_grow(child, budget - 1, members)
         return total
@@ -285,57 +333,57 @@ class _Extractor:
         round-trip from the dependence chain.  Everything else is covered for
         leaf-PE density.
         """
+        # Operations each height would cover; height 0 is the root alone.
+        counts = [1] + [
+            self._simulate_grow(op_index, height, set())
+            for height in range(1, self._max_height + 1)
+        ]
+        best = 0
         if self._slack[op_index] <= self._slack_threshold:
-            best = 0
             for height in range(1, self._max_height + 1):
-                if self._count_ops(op_index, height, set()) > self._count_ops(
-                    op_index, best, set()
-                ):
+                if counts[height] > counts[best]:
                     best = height
             return best
-        best = 0
         best_score = 1.0  # height 0: one op on one leaf PE
         for height in range(1, self._max_height + 1):
-            n_ops = self._count_ops(op_index, height, set())
+            n_ops = counts[height]
             density = n_ops / float(2 ** height)
             if n_ops > 1 and density >= self._min_density and density >= best_score:
                 best = height
                 best_score = density
         return best
 
-    def _grow(self, cone: Cone, op_index: int, depth: int, budget: int) -> None:
+    def _grow(self, draft: _Draft, op_index: int, depth: int, budget: int) -> None:
         """Absorb ``op_index`` at ``depth`` below the root, then grow downwards."""
-        ops = self._ops
+        n_inputs = self._n_inputs
         self._covered[op_index] = True
-        cone.members.append(op_index)
-        cone.depth_from_root[op_index] = depth
-        members = set(cone.members)
-        operation = ops.operations[op_index]
+        draft.members.append(op_index)
+        draft.member_set.add(op_index)
+        draft.depth_from_root[op_index] = depth
+        operation = self._operations[op_index]
+        args = (operation.arg0, operation.arg1)
         # Same-operand operations (x + x, x * x) keep both references external;
-        # see _simulate_grow for the rationale.
-        may_absorb = budget > 0 and operation.arg0 != operation.arg1
-        already_external = {
-            operand.slot
-            for specs in cone.operands.values()
-            for operand in specs
-            if operand.kind == "external"
-        }
+        # see _simulate_grow for the rationale.  If an earlier member already
+        # reads a value from the register file, producing it inside the cone
+        # would leave that read dangling in the same cycle, so it stays
+        # external too.  Both tests see the members completed before this one.
+        if budget > 0 and args[0] != args[1]:
+            absorb = [arg >= n_inputs and arg not in draft.external for arg in args]
+        else:
+            absorb = (False, False)
         specs: List[ConeOperand] = []
-        for arg in (operation.arg0, operation.arg1):
-            absorbed = False
-            if arg >= ops.n_inputs and may_absorb and arg not in already_external:
-                # If an earlier member already reads this value from the
-                # register file, producing it inside the cone would leave that
-                # read dangling in the same cycle, so keep it external.
-                child = arg - ops.n_inputs
-                if self._absorbable(child, members):
-                    self._grow(cone, child, depth + 1, budget - 1)
-                    members = set(cone.members)
+        for arg, try_absorb in zip(args, absorb):
+            if try_absorb:
+                child = arg - n_inputs
+                if self._absorbable(child, draft.member_set):
+                    self._grow(draft, child, depth + 1, budget - 1)
                     specs.append(ConeOperand.internal(child))
-                    absorbed = True
-            if not absorbed:
-                specs.append(ConeOperand.external(arg))
-        cone.operands[op_index] = (specs[0], specs[1])
+                    continue
+            specs.append(ConeOperand.external(arg))
+        draft.operands[op_index] = (specs[0], specs[1])
+        for spec in specs:
+            if spec.kind == "external":
+                draft.external.add(spec.slot)
 
     # -- driver ----------------------------------------------------------- #
     def run(self) -> ConeGraph:
@@ -343,34 +391,43 @@ class _Extractor:
         for op_index in range(ops.n_operations - 1, -1, -1):
             if self._covered[op_index]:
                 continue
-            cone = Cone(index=len(self._cones), root_op=op_index)
+            draft = _Draft(index=len(self._cones), root_op=op_index)
             height = self._best_height(op_index) if self._max_height > 0 else 0
-            self._grow(cone, op_index, depth=0, budget=height)
-            self._finalize(cone)
-            self._cones.append(cone)
-        return ConeGraph(ops=ops, cones=self._cones, producer=self._producer)
+            self._grow(draft, op_index, depth=0, budget=height)
+            self._cones.append(self._finalize(draft))
+        return ConeGraph(ops=ops, cones=tuple(self._cones), producer=self._producer)
 
-    def _finalize(self, cone: Cone) -> None:
-        """Determine which members must write their value to the register file."""
-        ops = self._ops
-        produced = {ops.dest_slot(member) for member in cone.members}
-        for slot in cone.external_slots():
+    def _finalize(self, draft: _Draft) -> Cone:
+        """Freeze ``draft``, writing back every member whose value leaves the cone."""
+        n_inputs = self._n_inputs
+        fanout = self._fanout
+        # Every member but the root feeds exactly one member (its parent), so
+        # a member's value leaves the cone when it has another consumer.
+        outputs = tuple(
+            [
+                op_index
+                for op_index in draft.members
+                if op_index == draft.root_op or fanout[n_inputs + op_index] > 1
+            ]
+        )
+        cone = Cone(
+            index=draft.index,
+            root_op=draft.root_op,
+            members=tuple(draft.members),
+            operands=draft.operands,
+            depth_from_root=draft.depth_from_root,
+            outputs=outputs,
+        )
+        produced = {n_inputs + member for member in cone.members}
+        for slot in cone.external_slots:
             if slot in produced:
                 raise ValueError(
                     f"internal error: cone {cone.index} reads slot {slot} from the "
                     "register file although it produces that value itself"
                 )
-        internal_uses: Dict[int, int] = {}
-        for op_index in cone.members:
-            for operand in cone.operands[op_index]:
-                if operand.kind == "internal":
-                    internal_uses[operand.op_index] = internal_uses.get(operand.op_index, 0) + 1
-        for op_index in cone.members:
-            slot = ops.dest_slot(op_index)
-            external_uses = self._fanout[slot] - internal_uses.get(op_index, 0)
-            if op_index == cone.root_op or external_uses > 0:
-                cone.outputs.append(op_index)
-                self._producer[slot] = cone.index
+        for op_index in outputs:
+            self._producer[n_inputs + op_index] = cone.index
+        return cone
 
 
 def extract_cones(

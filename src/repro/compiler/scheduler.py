@@ -93,12 +93,33 @@ class CompileStats:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _LoadedRow:
     """Bookkeeping for one input row currently resident in the register file."""
 
     reg: int
     ready_cycle: int
+
+
+@dataclass(frozen=True, slots=True)
+class _ConeLayout:
+    """A cone mapped onto the subtree whose leaf block starts at PE 0.
+
+    Placing the cone at leaf block ``block_start`` shifts every PE position
+    at level ``l`` by ``block_start >> l`` and every crossbar port by
+    ``2 * block_start`` (see :meth:`Scheduler._layout`).
+    """
+
+    #: PE opcode assignment as ``(level, position, opcode)`` in issue order.
+    pe_ops: Tuple[Tuple[int, int, str], ...]
+    #: Crossbar port assignments as ``(port, operand slot)``.
+    ports: Tuple[Tuple[int, int], ...]
+    #: Written members as ``(level, position, destination slot)``.
+    outputs: Tuple[Tuple[int, int, int], ...]
+
+
+#: Ready cycle of a value that has not been produced yet.
+_NEVER = 1 << 60
 
 
 class Scheduler:
@@ -112,6 +133,7 @@ class Scheduler:
     ) -> None:
         self._graph = cone_graph
         self._ops = cone_graph.ops
+        self._n_inputs = cone_graph.ops.n_inputs
         self._config = config
         self._options = options or ScheduleOptions()
         if self._options.stream_rows >= config.bank_depth:
@@ -119,6 +141,8 @@ class Scheduler:
                 "stream_rows must leave at least one register row for intermediates"
             )
         self._stream_base = config.bank_depth - self._options.stream_rows
+        self._windows = config.write_windows
+        self._latency = config.level_latencies
 
     # ------------------------------------------------------------------ #
     # Public entry point
@@ -197,23 +221,17 @@ class Scheduler:
         self._remaining_refs: Dict[int, int] = {}
         self._conflicts: Dict[int, Set[int]] = {}
         for cone in graph.cones:
-            slots = cone.external_slots()
-            for slot in slots:
+            for slot in cone.external_slots:
                 self._remaining_refs[slot] = self._remaining_refs.get(slot, 0) + 1
-            unique = sorted(set(slots))
-            for i, a in enumerate(unique):
-                for b in unique[i + 1 :]:
-                    self._conflicts.setdefault(a, set()).add(b)
-                    self._conflicts.setdefault(b, set()).add(a)
+            unique = cone.operand_slots
+            if len(unique) > 1:
+                for a in unique:
+                    partners = self._conflicts.setdefault(a, set())
+                    partners.update(unique)
+                    partners.discard(a)
 
         # Cone dependencies and scheduling priorities.
-        self._preds_left: List[int] = [0] * graph.n_cones
-        self._consumers: List[List[int]] = [[] for _ in range(graph.n_cones)]
-        for cone in graph.cones:
-            preds = graph.predecessors(cone)
-            self._preds_left[cone.index] = len(preds)
-            for p in preds:
-                self._consumers[p].append(cone.index)
+        self._preds_left: List[int] = [len(graph.predecessors(c)) for c in graph.cones]
         self._priority = graph.critical_path_priorities()
 
         # Candidate heap of cones whose producer cones have all been issued.
@@ -229,7 +247,6 @@ class Scheduler:
         self._relocate_ready: Dict[int, int] = {}
         self._copy_requests: Set[int] = set()
         self._n_copies = 0
-        self._scheduled: List[bool] = [False] * graph.n_cones
         self._n_scheduled = 0
 
         # Register file state: free intermediate registers per bank.
@@ -238,8 +255,9 @@ class Scheduler:
         ]
         self._live_registers = 0
         self._max_live = 0
-        # Write-port reservations at commit cycles.
-        self._write_ports: Set[Tuple[int, int]] = set()
+        # Write-port reservations at commit cycles, keyed by
+        # ``commit * n_banks + bank``.
+        self._write_ports: Set[int] = set()
 
         # Input streaming structures.
         self._build_input_rows()
@@ -260,13 +278,13 @@ class Scheduler:
         not share a lane — a lane maps directly to a register bank, so sharing
         one would be a guaranteed crossbar conflict.
         """
-        ops, config = self._ops, self._config
+        config, n_inputs = self._config, self._n_inputs
         asap = self._graph.asap_levels()
         first_use: Dict[int, Tuple[int, int, int]] = {}
         for cone in self._graph.cones:
             key = (asap[cone.index], -self._priority[cone.index], cone.index)
-            for slot in cone.external_slots():
-                if slot < ops.n_inputs and (slot not in first_use or key < first_use[slot]):
+            for slot in cone.operand_slots:
+                if slot < n_inputs and (slot not in first_use or key < first_use[slot]):
                     first_use[slot] = key
         ordered = sorted(first_use, key=lambda s: (first_use[s], s))
         rows: List[List[Optional[int]]] = []
@@ -287,17 +305,16 @@ class Scheduler:
         self._dmem_image = [list(row) for row in rows]
         self._row_refs: List[int] = [0] * len(rows)
         for slot, count in self._remaining_refs.items():
-            if slot < ops.n_inputs:
+            if slot < n_inputs:
                 row_index, _ = self._row_of_slot[slot]
                 self._row_refs[row_index] += count
         self._next_row_cursor = 0
 
     def _repair_input_lanes(self, rows: List[List[Optional[int]]]) -> None:
         """Swap lanes so co-read input slots do not collide on a bank."""
+        n_inputs = self._n_inputs
         for cone in self._graph.cones:
-            input_slots = sorted(
-                {s for s in cone.external_slots() if s < self._ops.n_inputs}
-            )
+            input_slots = sorted(s for s in cone.operand_slots if s < n_inputs)
             used_lanes: Dict[int, int] = {}
             for slot in input_slots:
                 row_index, lane = self._row_of_slot[slot]
@@ -325,9 +342,7 @@ class Scheduler:
         instruction = Instruction(comment=f"cycle {cycle}")
         # Per-cycle resource state.
         read_cells: Dict[int, Tuple[int, int]] = {}  # bank -> cell being read
-        leaf_free: List[List[bool]] = [
-            [True] * config.leaf_pes_per_tree for _ in range(config.n_trees)
-        ]
+        leaf_busy: List[int] = [0] * config.n_trees  # bit p set: leaf PE p taken
         trees_used: Set[int] = set()
 
         # Issue the memory transaction first so loads start as early as possible.
@@ -338,40 +353,49 @@ class Scheduler:
         # Relocation copies requested by blocked cones go first: they are tiny
         # and unblock higher-priority work.
         for slot in sorted(self._copy_requests):
-            self._try_relocate(slot, cycle, instruction, read_cells, leaf_free)
+            self._try_relocate(slot, cycle, instruction, read_cells, leaf_busy)
 
         deferred: List[Tuple[int, int]] = []
         blocked_rows: Set[int] = set()
         critical_rows: Set[int] = set()
+        cone_rows: Set[int] = set()
         n_placed = 0
         free_leaf_slots = config.n_trees * config.leaf_pes_per_tree
+        n_banks = config.n_banks
+        scan_limit = self._options.scan_limit
+        candidates = self._candidates
+        cones = self._graph.cones
+        readable_cells = self._readable_cells
         examined = 0
         while (
-            self._candidates
+            candidates
             and free_leaf_slots > 0
-            and len(read_cells) < config.n_banks
-            and examined < self._options.scan_limit
+            and len(read_cells) < n_banks
+            and examined < scan_limit
         ):
-            priority, cone_index = heapq.heappop(self._candidates)
+            item = heapq.heappop(candidates)
             examined += 1
-            cone = self._graph.cones[cone_index]
-            cone_rows: Set[int] = set()
-            placed = self._try_place(
-                cone, cycle, instruction, read_cells, leaf_free, trees_used, cone_rows
-            )
-            blocked_rows |= cone_rows
-            if placed:
-                free_leaf_slots -= 2 ** (cone.depth - 1)
+            cone = cones[item[1]]
+            # Step 1 of the placement, done here: most candidates are still
+            # waiting on an operand.
+            operand_cells = readable_cells(cone.operand_slots, cycle, cone_rows)
+            if operand_cells is not None and self._try_place(
+                cone, operand_cells, cycle, instruction, read_cells, leaf_busy, trees_used
+            ):
+                free_leaf_slots -= 1 << cone.height
                 n_placed += 1
             else:
-                deferred.append((priority, cone_index))
+                deferred.append(item)
                 if not critical_rows and cone_rows:
                     # Highest-priority cone that is blocked on unloaded input
                     # rows: these rows are protected from eviction so the cone
                     # is guaranteed to make progress eventually.
                     critical_rows = set(cone_rows)
+            if cone_rows:
+                blocked_rows |= cone_rows
+                cone_rows.clear()
         for item in deferred:
-            heapq.heappush(self._candidates, item)
+            heapq.heappush(candidates, item)
 
         self._wanted_rows = blocked_rows
         if n_placed > 0:
@@ -385,99 +409,103 @@ class Scheduler:
     def _try_place(
         self,
         cone: Cone,
+        operand_cells: Dict[int, Tuple[int, int]],
         cycle: int,
         instruction: Instruction,
         read_cells: Dict[int, Tuple[int, int]],
-        leaf_free: List[List[bool]],
+        leaf_busy: List[int],
         trees_used: Set[int],
-        blocked_rows: Set[int],
     ) -> bool:
-        config = self._config
-        ops = self._ops
+        """Issue ``cone`` this cycle if the machine allows it.
 
-        # 1. All operand data must be readable this cycle.
-        operand_cells: Dict[int, Tuple[int, int]] = {}
-        for slot in set(cone.external_slots()):
-            cell = self._slot_cell(slot, cycle, blocked_rows)
-            if cell is None:
-                return False
-            operand_cells[slot] = cell
-
+        Step 1, every operand readable this cycle, has already passed:
+        ``operand_cells`` (from :meth:`_readable_cells`) holds their cells.
+        """
         # 2. Crossbar: each operand bank must carry a single cell, both within
-        #    this cone and against reads already planned this cycle.
+        #    this cone and against reads already planned this cycle.  A clash
+        #    within the cone takes precedence: it requests a relocation copy.
         cone_banks: Dict[int, Tuple[int, int]] = {}
+        busy_bank = False
         for slot, cell in operand_cells.items():
-            clash = cone_banks.get(cell[0])
+            bank = cell[0]
+            clash = cone_banks.get(bank)
             if clash is not None and clash != cell:
                 # Two operands of this cone live in the same bank: request a
                 # relocation copy for one of them and give up for now.
                 self._copy_requests.add(slot)
                 return False
-            cone_banks[cell[0]] = cell
-        for bank, cell in cone_banks.items():
-            current = read_cells.get(bank)
-            if current is not None and current != cell:
-                return False
+            cone_banks[bank] = cell
+            if not busy_bank:
+                current = read_cells.get(bank)
+                busy_bank = current is not None and current != cell
+        if busy_bank:
+            return False
 
         # 3. Find a free, aligned subtree block on some tree where every
         #    output of the cone can be written: each written member needs a
         #    bank inside its PE's window with a free register and a free write
         #    port at its commit cycle.
-        depth = cone.depth
-        block_size = 2 ** (depth - 1)
+        block_size = 1 << cone.height
+        block_mask = (1 << block_size) - 1
+        layout = None
+        pack = self._options.pack_multiple_cones
+        config = self._config
         placement = None
         for tree in range(config.n_trees):
-            if not self._options.pack_multiple_cones and tree in trees_used:
+            if not pack and tree in trees_used:
                 continue
-            free = leaf_free[tree]
+            busy = leaf_busy[tree]
             for block_start in range(0, config.leaf_pes_per_tree, block_size):
-                if not all(free[block_start : block_start + block_size]):
+                if busy & (block_mask << block_start):
                     continue
-                layout = self._layout(cone, tree, block_start)
-                allocations = self._allocate_outputs(cone, tree, layout[2], cycle)
+                if layout is None:
+                    layout = self._layout(cone)
+                allocations = self._allocate_outputs(
+                    layout.outputs, tree, block_start, cycle
+                )
                 if allocations is None:
                     continue
-                placement = (tree, block_start, layout, allocations)
+                placement = (tree, block_start, allocations)
                 break
             if placement is not None:
                 break
         if placement is None:
             return False
-        tree, block_start, (pe_ops, port_slots, _), allocations = placement
+        tree, block_start, allocations = placement
 
         # ---- Commit the placement -------------------------------------- #
-        for offset in range(block_size):
-            leaf_free[tree][block_start + offset] = False
+        leaf_busy[tree] |= block_mask << block_start
         trees_used.add(tree)
         read_cells.update(cone_banks)
 
-        instruction.pe_ops.update(pe_ops)
-        for port, slot in port_slots:
+        pe_ops = instruction.pe_ops
+        for level, pos, opcode in layout.pe_ops:
+            pe_ops[(tree, level, pos + (block_start >> level))] = opcode
+        reads = instruction.reads
+        port_base = 2 * block_start
+        for port, slot in layout.ports:
             bank, reg = operand_cells[slot]
-            instruction.reads.append(
-                ReadSpec(port=(tree, port), bank=bank, reg=reg, slot=slot)
+            reads.append(
+                ReadSpec(port=(tree, port_base + port), bank=bank, reg=reg, slot=slot)
             )
-        for op_index, pe, bank, reg, commit in allocations:
-            dest_slot = ops.dest_slot(op_index)
-            instruction.writes.append(
-                WriteSpec(pe=pe, bank=bank, reg=reg, slot=dest_slot)
-            )
-            self._write_ports.add((commit, bank))
+        writes = instruction.writes
+        for pe, bank, reg, commit, dest_slot in allocations:
+            writes.append(WriteSpec(pe=pe, bank=bank, reg=reg, slot=dest_slot))
             self._value_location[dest_slot] = (bank, reg)
             self._value_ready[dest_slot] = commit
-            self._live_registers += 1
+        self._live_registers += len(allocations)
 
-        self._scheduled[cone.index] = True
         self._n_scheduled += 1
         self._max_live = max(self._max_live, self._live_registers)
 
         # Release operand references.
-        for slot in cone.external_slots():
+        for slot in cone.external_slots:
             self._release_reference(slot)
         # Wake up consumer cones.
-        for consumer in self._consumers[cone.index]:
-            self._preds_left[consumer] -= 1
-            if self._preds_left[consumer] == 0:
+        preds_left = self._preds_left
+        for consumer in self._graph.consumers(cone):
+            preds_left[consumer] -= 1
+            if preds_left[consumer] == 0:
                 heapq.heappush(
                     self._candidates, (-self._priority[consumer], consumer)
                 )
@@ -488,100 +516,132 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     def _allocate_outputs(
         self,
-        cone: Cone,
+        outputs: Tuple[Tuple[int, int, int], ...],
         tree: int,
-        member_position: Dict[int, Tuple[int, int]],
+        block_start: int,
         cycle: int,
-    ) -> Optional[List[Tuple[int, Tuple[int, int, int], int, int, int]]]:
+    ) -> Optional[List[Tuple[Tuple[int, int, int], int, int, int, int]]]:
         """Pick a (bank, register) for every value the cone writes back.
 
-        Returns ``[(op_index, pe, bank, reg, commit_cycle), ...]`` or ``None``
-        when some output cannot be placed, in which case any tentatively
-        reserved registers are returned to their free lists.
+        ``outputs`` are the layout's written members, placed at leaf block
+        ``block_start`` of ``tree``.  Returns ``[(pe, bank, reg,
+        commit_cycle, dest_slot), ...]`` with each register taken and each
+        write port reserved, or ``None`` when some output cannot be placed,
+        in which case every tentative reservation is undone.
         """
-        config = self._config
-        ops = self._ops
-        allocations: List[Tuple[int, Tuple[int, int, int], int, int, int]] = []
-        local_ports: Set[Tuple[int, int]] = set()
-        for op_index in cone.outputs:
-            level, pos = member_position[op_index]
-            allowed = config.allowed_write_banks(tree, level, pos)
-            commit = cycle + config.result_latency(level + 1)
-            dest_slot = ops.dest_slot(op_index)
+        windows = self._windows[tree]
+        latency = self._latency
+        n_banks = self._config.n_banks
+        free_regs = self._free_regs
+        write_ports = self._write_ports
+        conflict_aware = self._options.conflict_aware_allocation
+        allocations: List[Tuple[Tuple[int, int, int], int, int, int, int]] = []
+        for level, rel_pos, dest_slot in outputs:
+            pos = rel_pos + (block_start >> level)
+            commit = cycle + latency[level]
+            port_base = commit * n_banks
+            # Ports are reserved as banks are chosen, so two outputs of this
+            # cone cannot commit to one bank in the same cycle either.
             candidates = [
                 bank
-                for bank in allowed
-                if self._free_regs[bank]
-                and (commit, bank) not in self._write_ports
-                and (commit, bank) not in local_ports
+                for bank in windows[level][pos]
+                if free_regs[bank] and port_base + bank not in write_ports
             ]
             if not candidates:
-                for _, _, bank, reg, _ in allocations:
-                    self._free_regs[bank].append(reg)
+                for _, bank, reg, reserved, _ in allocations:
+                    free_regs[bank].append(reg)
+                    write_ports.discard(reserved * n_banks + bank)
                 return None
-            if self._options.conflict_aware_allocation:
-                conflict_banks = {
-                    self._current_cell(other)[0]
-                    for other in self._conflicts.get(dest_slot, ())
-                    if self._current_cell(other) is not None
-                }
-                preferred = [b for b in candidates if b not in conflict_banks]
-                pool = preferred or candidates
-                bank = max(pool, key=lambda b: len(self._free_regs[b]))
+            if conflict_aware:
+                conflict_banks = self._conflict_banks(dest_slot)
+                pool = [b for b in candidates if b not in conflict_banks] or candidates
+                # The bank with the most free registers; the first on ties.
+                bank = pool[0]
+                most = len(free_regs[bank])
+                for other in pool[1:]:
+                    if len(free_regs[other]) > most:
+                        bank, most = other, len(free_regs[other])
             else:
                 bank = candidates[0]
-            reg = self._free_regs[bank].pop()
-            local_ports.add((commit, bank))
-            allocations.append((op_index, (tree, level, pos), bank, reg, commit))
+            reg = free_regs[bank].pop()
+            write_ports.add(port_base + bank)
+            allocations.append(((tree, level, pos), bank, reg, commit, dest_slot))
         return allocations
+
+    def _conflict_banks(self, slot: int) -> Set[int]:
+        """Banks currently holding a value ``slot`` is read together with."""
+        banks = set()
+        for other in self._conflicts.get(slot, ()):
+            cell = self._current_cell(other)
+            if cell is not None:
+                banks.add(cell[0])
+        return banks
 
     def _current_cell(self, slot: int) -> Optional[Tuple[int, int]]:
         """Register-file cell currently assigned to ``slot`` (ignoring timing)."""
         if slot in self._relocated:
             return self._relocated[slot]
-        if slot < self._ops.n_inputs:
-            row_index, lane = self._row_of_slot.get(slot, (None, None))
-            if row_index is None:
+        if slot < self._n_inputs:
+            position = self._row_of_slot.get(slot)
+            if position is None:
                 return None
-            loaded = self._loaded_rows.get(row_index)
+            loaded = self._loaded_rows.get(position[0])
             if loaded is None:
                 return None
-            return lane, loaded.reg
+            return position[1], loaded.reg
         return self._value_location.get(slot)
 
-    def _slot_cell(
-        self, slot: int, cycle: int, blocked_rows: Set[int]
-    ) -> Optional[Tuple[int, int]]:
+    def _readable_cells(
+        self, slots: Sequence[int], cycle: int, blocked_rows: Set[int]
+    ) -> Optional[Dict[int, Tuple[int, int]]]:
+        """The cell of every slot in ``slots`` if all are readable at ``cycle``.
+
+        Returns ``None`` at the first slot that is not; an input slot whose
+        row is not resident (or still loading) adds that row to
+        ``blocked_rows``.
+        """
+        relocated = self._relocated
+        n_inputs = self._n_inputs
+        cells: Dict[int, Tuple[int, int]] = {}
+        for slot in slots:
+            if slot in relocated:
+                if self._relocate_ready[slot] > cycle:
+                    return None
+                cell = relocated[slot]
+            elif slot < n_inputs:
+                row_index, lane = self._row_of_slot[slot]
+                loaded = self._loaded_rows.get(row_index)
+                if loaded is None or loaded.ready_cycle > cycle:
+                    blocked_rows.add(row_index)
+                    return None
+                cell = (lane, loaded.reg)
+            elif self._value_ready.get(slot, _NEVER) > cycle:
+                return None
+            else:
+                cell = self._value_location.get(slot)
+                if cell is None:
+                    return None
+            cells[slot] = cell
+        return cells
+
+    def _slot_cell(self, slot: int, cycle: int) -> Optional[Tuple[int, int]]:
         """Cell holding ``slot`` if it is readable at ``cycle``, else ``None``."""
-        if slot in self._relocated:
-            if self._relocate_ready[slot] > cycle:
-                return None
-            return self._relocated[slot]
-        ops = self._ops
-        if slot < ops.n_inputs:
-            row_index, lane = self._row_of_slot[slot]
-            loaded = self._loaded_rows.get(row_index)
-            if loaded is None or loaded.ready_cycle > cycle:
-                blocked_rows.add(row_index)
-                return None
-            return lane, loaded.reg
-        if self._value_ready.get(slot, 1 << 60) > cycle:
-            return None
-        return self._value_location.get(slot)
+        cells = self._readable_cells((slot,), cycle, set())
+        return None if cells is None else cells[slot]
 
     def _release_reference(self, slot: int) -> None:
-        ops = self._ops
-        self._remaining_refs[slot] -= 1
-        if self._remaining_refs[slot] > 0:
+        remaining = self._remaining_refs[slot] - 1
+        self._remaining_refs[slot] = remaining
+        if remaining > 0:
             return
-        if slot == ops.root_slot:
+        if slot == self._ops.root_slot:
             return
         if slot in self._relocated:
             bank, reg = self._relocated[slot]
             self._free_regs[bank].append(reg)
             self._live_registers -= 1
             return
-        if slot < ops.n_inputs:
+        if slot < self._n_inputs:
             row_index, _ = self._row_of_slot[slot]
             self._row_refs[row_index] -= 1
             return
@@ -602,10 +662,10 @@ class Scheduler:
         for priority, cone_index in snapshot:
             cone = self._graph.cones[cone_index]
             reasons = []
-            for slot in sorted(set(cone.external_slots())):
-                cell = self._slot_cell(slot, cycle, set())
+            for slot in sorted(cone.operand_slots):
+                cell = self._slot_cell(slot, cycle)
                 if cell is None:
-                    if slot < self._ops.n_inputs:
+                    if slot < self._n_inputs:
                         row_index, _ = self._row_of_slot[slot]
                         loaded = row_index in self._loaded_rows
                         reasons.append(
@@ -633,47 +693,44 @@ class Scheduler:
         cycle: int,
         instruction: Instruction,
         read_cells: Dict[int, Tuple[int, int]],
-        leaf_free: List[List[bool]],
+        leaf_busy: List[int],
     ) -> bool:
         """Copy ``slot`` into a conflict-free bank via a pass-through PE."""
         config = self._config
         if self._remaining_refs.get(slot, 0) <= 0:
             self._copy_requests.discard(slot)
             return False
-        source = self._slot_cell(slot, cycle, set())
+        source = self._slot_cell(slot, cycle)
         if source is None:
             return False
         current = read_cells.get(source[0])
         if current is not None and current != source:
             return False
-        conflict_banks = {
-            self._current_cell(other)[0]
-            for other in self._conflicts.get(slot, ())
-            if self._current_cell(other) is not None
-        }
+        conflict_banks = self._conflict_banks(slot)
         conflict_banks.add(source[0])
-        commit = cycle + config.result_latency(1)
+        commit = cycle + self._latency[0]
+        port_base = commit * config.n_banks
         for tree in range(config.n_trees):
+            windows = self._windows[tree][0]
             for pos in range(config.leaf_pes_per_tree):
-                if not leaf_free[tree][pos]:
+                if leaf_busy[tree] >> pos & 1:
                     continue
                 if (tree, 0, pos) in instruction.pe_ops:
                     continue
-                allowed = config.allowed_write_banks(tree, 0, pos)
                 candidates = [
                     bank
-                    for bank in allowed
+                    for bank in windows[pos]
                     if bank not in conflict_banks
                     and self._free_regs[bank]
-                    and (commit, bank) not in self._write_ports
+                    and port_base + bank not in self._write_ports
                 ]
                 if not candidates:
                     continue
                 bank = max(candidates, key=lambda b: len(self._free_regs[b]))
                 reg = self._free_regs[bank].pop()
-                leaf_free[tree][pos] = False
+                leaf_busy[tree] |= 1 << pos
                 read_cells[source[0]] = source
-                self._write_ports.add((commit, bank))
+                self._write_ports.add(port_base + bank)
                 instruction.pe_ops[(tree, 0, pos)] = OP_PASS_A
                 instruction.reads.append(
                     ReadSpec(port=(tree, 2 * pos), bank=source[0], reg=source[1], slot=slot)
@@ -694,13 +751,12 @@ class Scheduler:
 
     def _free_old_home(self, slot: int) -> None:
         """Release the storage a slot occupied before it was relocated."""
-        ops = self._ops
         if slot in self._relocated:
             bank, reg = self._relocated[slot]
             self._free_regs[bank].append(reg)
             self._live_registers -= 1
             return
-        if slot < ops.n_inputs:
+        if slot < self._n_inputs:
             # Future references will read the relocated copy, so the streaming
             # row no longer needs to stay resident for this slot.
             row_index, _ = self._row_of_slot[slot]
@@ -795,56 +851,51 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     # Cone embedding (PE placement and crossbar reads)
     # ------------------------------------------------------------------ #
-    def _layout(
-        self,
-        cone: Cone,
-        tree: int,
-        block_start: int,
-    ) -> Tuple[
-        Dict[Tuple[int, int, int], str],
-        List[Tuple[int, int]],
-        Dict[int, Tuple[int, int]],
-    ]:
-        """Map a cone onto the subtree anchored at ``block_start`` of ``tree``.
+    def _layout(self, cone: Cone) -> _ConeLayout:
+        """Map a cone onto the subtree anchored at leaf PE 0.
 
-        Returns the PE opcode assignment, the crossbar port assignments
-        (``(port, operand slot)`` pairs) and, for every member operation, the
+        Records the PE opcode assignment, the crossbar port assignments
+        (``(port, operand slot)`` pairs) and, for every written member, the
         (level, position) of the PE that computes it.  External operands of
         operations above level 0 are routed up through pass-through PEs along
         the left spine of the corresponding subtree, as the datapath requires.
         """
-        ops = self._ops
-        pe_ops: Dict[Tuple[int, int, int], str] = {}
-        port_slots: List[Tuple[int, int]] = []
-        member_position: Dict[int, Tuple[int, int]] = {}
-
-        def deliver(operand: ConeOperand, level: int, pos: int) -> None:
+        operations = self._ops.operations
+        operands = cone.operands
+        pe_ops: Dict[Tuple[int, int], str] = {}
+        ports: List[Tuple[int, int]] = []
+        position: Dict[int, Tuple[int, int]] = {}
+        # Depth first, the left subtree before the right one.
+        stack = [(ConeOperand.internal(cone.root_op), cone.height, 0)]
+        while stack:
+            operand, level, pos = stack.pop()
             if operand.kind == "external":
-                leaf_pos = pos * (2 ** level)
+                leaf_pos = pos << level
                 for lvl in range(level, 0, -1):
-                    chain_pos = pos * (2 ** (level - lvl))
-                    pe_ops[(tree, lvl, chain_pos)] = OP_PASS_A
-                pe_ops.setdefault((tree, 0, leaf_pos), OP_PASS_A)
-                port_slots.append((2 * leaf_pos, operand.slot))
-                return
+                    pe_ops[(lvl, pos << (level - lvl))] = OP_PASS_A
+                pe_ops.setdefault((0, leaf_pos), OP_PASS_A)
+                ports.append((2 * leaf_pos, operand.slot))
+                continue
             op_index = operand.op_index
-            opcode = OP_ADD if ops.operations[op_index].op == SPN_ADD else OP_MUL
-            pe_ops[(tree, level, pos)] = opcode
-            member_position[op_index] = (level, pos)
-            left, right = cone.operands[op_index]
-            if level == 0:
-                for port_offset, child in enumerate((left, right)):
-                    if child.kind != "external":
-                        raise CompilationError(
-                            f"cone {cone.index}: operation {op_index} placed at a leaf "
-                            "PE but has an internal operand"
-                        )
-                    port_slots.append((2 * pos + port_offset, child.slot))
-                return
-            deliver(left, level - 1, 2 * pos)
-            deliver(right, level - 1, 2 * pos + 1)
-
-        root_height = cone.height
-        root_pos = block_start >> root_height
-        deliver(ConeOperand.internal(cone.root_op), root_height, root_pos)
-        return pe_ops, port_slots, member_position
+            pe_ops[(level, pos)] = OP_ADD if operations[op_index].op == SPN_ADD else OP_MUL
+            position[op_index] = (level, pos)
+            left, right = operands[op_index]
+            if level > 0:
+                stack.append((right, level - 1, 2 * pos + 1))
+                stack.append((left, level - 1, 2 * pos))
+                continue
+            for port_offset, child in enumerate((left, right)):
+                if child.kind != "external":
+                    raise CompilationError(
+                        f"cone {cone.index}: operation {op_index} placed at a leaf "
+                        "PE but has an internal operand"
+                    )
+                ports.append((2 * pos + port_offset, child.slot))
+        n_inputs = self._n_inputs
+        return _ConeLayout(
+            pe_ops=tuple([(level, pos, op) for (level, pos), op in pe_ops.items()]),
+            ports=tuple(ports),
+            outputs=tuple(
+                [(*position[op_index], n_inputs + op_index) for op_index in cone.outputs]
+            ),
+        )

@@ -28,7 +28,7 @@ from .isa import (
 __all__ = ["RegisterFile", "DataMemory", "TreeDatapath", "PEValue"]
 
 
-@dataclass
+@dataclass(slots=True)
 class PEValue:
     """A value travelling through the datapath, with its provenance.
 
@@ -168,15 +168,18 @@ class TreeDatapath:
         read from the register file this cycle.  Only PEs present in the
         instruction's ``pe_ops`` (with a non-NOP opcode) produce outputs.
         """
-        config = self._config
         outputs: Dict[PEId, PEValue] = {}
-        # Evaluate level by level so parent PEs can consume child outputs.
-        for level in range(config.n_levels):
-            for (tree, lvl, pos), opcode in instruction.pe_ops.items():
-                if lvl != level or opcode == OP_NOP:
-                    continue
+        # Evaluate level by level so parent PEs can consume child outputs;
+        # within a level, in configuration order.
+        by_level: Dict[int, List[Tuple[PEId, str]]] = {}
+        for pe, opcode in instruction.pe_ops.items():
+            if opcode != OP_NOP:
+                by_level.setdefault(pe[1], []).append((pe, opcode))
+        for level in range(self._config.n_levels):
+            for pe, opcode in by_level.get(level, ()):
+                tree, lvl, pos = pe
                 a, b = self._operands(instruction, outputs, port_values, tree, lvl, pos)
-                outputs[(tree, lvl, pos)] = self._apply(opcode, a, b, (tree, lvl, pos))
+                outputs[pe] = self._apply(opcode, a, b, pe)
         return outputs
 
     # ------------------------------------------------------------------ #

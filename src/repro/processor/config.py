@@ -26,6 +26,7 @@ The two configurations evaluated in the paper are provided as constructors:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Tuple
 
 __all__ = ["ProcessorConfig", "ptree_config", "pvect_config"]
@@ -127,13 +128,35 @@ class ProcessorConfig:
         """
         self._check_tree(tree)
         self._check_level(level)
-        n_pes = self.pes_at_level(level)
-        if not 0 <= position < n_pes:
+        if not 0 <= position < self.pes_at_level(level):
             raise ValueError(f"position {position} out of range for level {level}")
-        base, _ = self.tree_bank_range(tree)
-        window = min(2 ** (level + 1), self.banks_per_tree)
-        start = base + (position * window) % self.banks_per_tree
-        return [start + i for i in range(window)]
+        return list(self.write_windows[tree][level][position])
+
+    @cached_property
+    def write_windows(self) -> Tuple[Tuple[Tuple[Tuple[int, ...], ...], ...], ...]:
+        """``write_windows[tree][level][position]``: the PE's writable banks.
+
+        The table behind :meth:`allowed_write_banks`, built once per
+        configuration for the compiler's and the simulator's inner loops
+        (indexing it skips the argument checks).
+        """
+        table = []
+        for tree in range(self.n_trees):
+            base = tree * self.banks_per_tree
+            levels = []
+            for level in range(self.n_levels):
+                window = min(2 ** (level + 1), self.banks_per_tree)
+                levels.append(
+                    tuple(
+                        tuple(
+                            base + (position * window) % self.banks_per_tree + i
+                            for i in range(window)
+                        )
+                        for position in range(self.pes_at_level(level))
+                    )
+                )
+            table.append(tuple(levels))
+        return tuple(table)
 
     def result_latency(self, cone_depth: int) -> int:
         """Cycles until the output of a cone of ``cone_depth`` levels is readable."""
@@ -142,6 +165,11 @@ class ProcessorConfig:
                 f"cone depth must be in [1, {self.n_levels}], got {cone_depth}"
             )
         return cone_depth - 1 + self.pe_latency
+
+    @cached_property
+    def level_latencies(self) -> Tuple[int, ...]:
+        """``level_latencies[level]``: :meth:`result_latency` of a PE at ``level``."""
+        return tuple(self.result_latency(level + 1) for level in range(self.n_levels))
 
     # ------------------------------------------------------------------ #
     def _check_tree(self, tree: int) -> None:

@@ -59,7 +59,7 @@ PEId = Tuple[int, int, int]
 PortId = Tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadSpec:
     """One crossbar read: register ``reg`` of ``bank`` drives port ``port``."""
 
@@ -70,7 +70,7 @@ class ReadSpec:
     slot: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteSpec:
     """One register-file write-back from the output of PE ``pe``."""
 
@@ -81,7 +81,7 @@ class WriteSpec:
     slot: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemOp:
     """A vector transaction between the data memory and the register file.
 
@@ -100,7 +100,7 @@ class MemOp:
             raise ValueError(f"mem op kind must be 'load' or 'store', got {self.kind!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Instruction:
     """One VLIW instruction (one issue cycle)."""
 

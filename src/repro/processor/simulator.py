@@ -25,6 +25,7 @@ same cross-check discipline the SPN execution engines use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -52,6 +53,20 @@ __all__ = [
 #: Relative tolerance used when checking transported values in strict mode.
 _RTOL = 1e-9
 _ATOL = 1e-12
+
+
+def _values_close(value: float, expected: float) -> bool:
+    """``np.isclose(value, expected, rtol=_RTOL, atol=_ATOL)`` for two floats.
+
+    ``|value - expected| <= atol + rtol * |expected|`` when both are finite,
+    exact equality otherwise: ``inf`` matches only the same ``inf`` and
+    ``nan`` matches nothing.  Same IEEE-754 double arithmetic as NumPy, so
+    the verdict is identical, without NumPy's per-call array overhead.
+    """
+    if math.isfinite(value) and math.isfinite(expected):
+        return abs(value - expected) <= _ATOL + _RTOL * abs(expected)
+    return value == expected
+
 
 #: The verifying one-instruction-per-cycle interpreter.
 MODE_STRICT = "strict"
@@ -194,10 +209,15 @@ class Simulator:
         utilization accounting have a single definition.
         """
         n_reads = n_writes = n_loads = n_stores = 0
+        if expected_slots is not None:
+            # Plain floats: the per-value checks index this once per transfer.
+            expected_slots = np.asarray(expected_slots, dtype=np.float64).tolist()
         for cycle, instruction in enumerate(program.instructions):
             regfile.commit_due(cycle)
-            port_values = self._perform_reads(regfile, instruction, expected_slots)
-            n_reads += len({(r.bank, r.reg) for r in instruction.reads})
+            port_values, cells_read = self._perform_reads(
+                regfile, instruction, expected_slots
+            )
+            n_reads += cells_read
             outputs = datapath.evaluate(instruction, port_values)
             n_writes += self._perform_writes(
                 regfile, instruction, outputs, cycle, expected_slots
@@ -253,19 +273,26 @@ class Simulator:
         self,
         regfile: RegisterFile,
         instruction: Instruction,
-        expected_slots: Optional[np.ndarray],
-    ) -> Dict[Tuple[int, int], PEValue]:
-        config = self._config
+        expected_slots: Optional[Sequence[float]],
+    ) -> Tuple[Dict[Tuple[int, int], PEValue], int]:
+        """Drive the crossbar ports; returns the port values and cells read.
+
+        A bank may only be read at one register per cycle, so the number of
+        distinct cells read is the number of banks read.
+        """
+        n_trees = self._config.n_trees
+        n_ports = self._config.input_ports_per_tree
+        verify = self._strict
         port_values: Dict[Tuple[int, int], PEValue] = {}
         banks_in_use: Dict[int, Tuple[int, int]] = {}
         for spec in instruction.reads:
             tree, port = spec.port
-            if not 0 <= tree < config.n_trees:
+            if not 0 <= tree < n_trees:
                 raise StructuralHazardError(f"read targets unknown tree {tree}")
-            if not 0 <= port < config.input_ports_per_tree:
+            if not 0 <= port < n_ports:
                 raise StructuralHazardError(
                     f"read targets port {port} but trees only have "
-                    f"{config.input_ports_per_tree} input ports"
+                    f"{n_ports} input ports"
                 )
             if spec.port in port_values:
                 raise StructuralHazardError(f"port {spec.port} is driven twice")
@@ -282,15 +309,16 @@ class Simulator:
                 raise UninitializedReadError(
                     f"read of bank {spec.bank} reg {spec.reg} before any write"
                 )
-            if self._strict and spec.slot is not None:
+            if verify and spec.slot is not None:
                 if stored_slot is not None and stored_slot != spec.slot:
                     raise VerificationError(
                         f"bank {spec.bank} reg {spec.reg} holds slot {stored_slot}, "
                         f"but the program expected slot {spec.slot}"
                     )
-                self._check_value(expected_slots, spec.slot, value, "read")
+                if expected_slots is not None:
+                    self._check_value(expected_slots, spec.slot, value, "read")
             port_values[spec.port] = PEValue(value, spec.slot)
-        return port_values
+        return port_values, len(banks_in_use)
 
     def _perform_writes(
         self,
@@ -298,13 +326,17 @@ class Simulator:
         instruction: Instruction,
         outputs: Dict[Tuple[int, int, int], PEValue],
         cycle: int,
-        expected_slots: Optional[np.ndarray],
+        expected_slots: Optional[Sequence[float]],
     ) -> int:
         config = self._config
+        windows = config.write_windows
+        latency = config.level_latencies
+        pe_ops = instruction.pe_ops
+        verify = self._strict and expected_slots is not None
         written = 0
         for spec in instruction.writes:
             tree, level, pos = spec.pe
-            opcode = instruction.pe_ops.get(spec.pe, OP_NOP)
+            opcode = pe_ops.get(spec.pe, OP_NOP)
             if opcode == OP_NOP:
                 raise StructuralHazardError(
                     f"write-back from idle PE {spec.pe} (no opcode configured)"
@@ -312,14 +344,16 @@ class Simulator:
             output = outputs.get(spec.pe)
             if output is None:
                 raise UninitializedReadError(f"write-back from PE {spec.pe} with no output")
-            allowed = config.allowed_write_banks(tree, level, pos)
+            # Only a PE inside the trees can have produced an output, so the
+            # window table needs no range check here.
+            allowed = windows[tree][level][pos]
             if spec.bank not in allowed:
                 raise StructuralHazardError(
-                    f"PE {spec.pe} may only write banks {allowed}, not {spec.bank}"
+                    f"PE {spec.pe} may only write banks {list(allowed)}, not {spec.bank}"
                 )
-            if self._strict and spec.slot is not None:
+            if verify and spec.slot is not None:
                 self._check_value(expected_slots, spec.slot, output.value, "write")
-            readable = cycle + config.result_latency(level + 1)
+            readable = cycle + latency[level]
             regfile.schedule_write(
                 spec.bank, spec.reg, output.value, readable, slot=spec.slot
             )
@@ -341,8 +375,9 @@ class Simulator:
             raise StructuralHazardError(f"memory transaction register {mem.reg} out of range")
         if mem.kind == "load":
             slots = mem.slots or tuple([None] * config.n_banks)
+            row = dmem.read_row(mem.row)
             for bank in range(config.n_banks):
-                value = dmem.read_lane(mem.row, bank)
+                value = row[bank]
                 if value is None:
                     continue
                 regfile.schedule_write(
@@ -376,19 +411,17 @@ class Simulator:
             )
         return float(value)
 
+    @staticmethod
     def _check_value(
-        self,
-        expected_slots: Optional[np.ndarray],
+        expected_slots: Sequence[float],
         slot: int,
         value: float,
         what: str,
     ) -> None:
-        if expected_slots is None:
-            return
         if not 0 <= slot < len(expected_slots):
             raise VerificationError(f"{what} annotated with unknown slot {slot}")
-        expected = float(expected_slots[slot])
-        if not np.isclose(value, expected, rtol=_RTOL, atol=_ATOL):
+        expected = expected_slots[slot]
+        if not _values_close(value, expected):
             raise VerificationError(
                 f"{what} of slot {slot}: transported value {value!r} does not match "
                 f"the reference value {expected!r}"

@@ -78,7 +78,7 @@ class TestCoverProperties:
     def test_every_consumed_slot_has_a_producer(self, bench_ops):
         graph = extract_cones(bench_ops, max_depth=4)
         for cone in graph.cones:
-            for slot in cone.external_slots():
+            for slot in cone.external_slots:
                 if slot >= bench_ops.n_inputs:
                     assert slot in graph.producer
 

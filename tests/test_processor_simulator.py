@@ -19,7 +19,7 @@ from repro.processor.isa import (
     ReadSpec,
     WriteSpec,
 )
-from repro.processor.simulator import Simulator
+from repro.processor.simulator import _ATOL, _RTOL, Simulator, _values_close
 
 
 def _load_instruction(row: int, reg: int) -> Instruction:
@@ -85,6 +85,109 @@ class TestSingleOperation:
         program = _single_op_program(OP_MUL, config)
         result = Simulator(config).run(program, [4.0, 2.5, 0.0])
         assert result.value == pytest.approx(10.0)
+
+
+_SPECIAL = [
+    0.0,
+    -0.0,
+    np.inf,
+    -np.inf,
+    np.nan,
+    5e-324,  # smallest subnormal
+    -5e-324,
+    2.2250738585072009e-308,  # largest subnormal
+    2.2250738585072014e-308,  # smallest normal
+    1e-12,
+    -1e-12,
+    1.0,
+    -1.0,
+    1e300,
+    -1e300,
+]
+
+
+def _boundary_pairs():
+    """(value, expected) pairs around ``|value - expected| = atol + rtol*|expected|``."""
+    pairs = []
+    for expected in [0.0, -0.0, 5e-324, 1e-12, 1e-3, 1.0, -7.5, 123.456, 1e6, 1e300]:
+        tol = _ATOL + _RTOL * abs(expected)
+        for edge in (expected + tol, expected - tol):
+            value = edge
+            for _ in range(3):  # walk a few ulps to each side of the edge
+                value = np.nextafter(value, -np.inf)
+            for _ in range(7):
+                pairs.append((float(value), expected))
+                value = np.nextafter(value, np.inf)
+    return pairs
+
+
+class TestStrictValueCheck:
+    """The strict simulator's scalar closeness test is exactly ``np.isclose``."""
+
+    @staticmethod
+    def _numpy(value, expected):
+        return bool(np.isclose(value, expected, rtol=1e-9, atol=1e-12))
+
+    def test_tolerances_are_the_documented_ones(self):
+        assert (_RTOL, _ATOL) == (1e-9, 1e-12)
+
+    def test_special_values_agree_with_numpy(self):
+        for value in _SPECIAL:
+            for expected in _SPECIAL:
+                assert _values_close(value, expected) == self._numpy(value, expected), (
+                    value,
+                    expected,
+                )
+
+    def test_tolerance_boundary_agrees_with_numpy(self):
+        pairs = _boundary_pairs()
+        verdicts = set()
+        for value, expected in pairs:
+            verdict = _values_close(value, expected)
+            assert verdict == self._numpy(value, expected), (value, expected)
+            verdicts.add(verdict)
+        # The walk crosses the edge: both verdicts occur, and some value sits
+        # exactly at the tolerance.
+        assert verdicts == {True, False}
+        assert any(
+            abs(value - expected) == _ATOL + _RTOL * abs(expected)
+            for value, expected in pairs
+        )
+
+    def test_nan_never_matches_and_inf_matches_itself(self):
+        assert not _values_close(np.nan, np.nan)
+        assert _values_close(np.inf, np.inf)
+        assert not _values_close(np.inf, -np.inf)
+        assert not _values_close(1e308, np.inf)
+
+    def test_corrupted_read_expectation_raises(self):
+        config = ptree_config()
+        program = _single_op_program(OP_ADD, config)
+        corrupted = np.array([2.5, 3.0, 5.0])  # input slot 0 is read as 2.0
+        with pytest.raises(VerificationError) as excinfo:
+            Simulator(config, strict=True).run(program, [2.0, 3.0], corrupted)
+        assert str(excinfo.value) == (
+            "read of slot 0: transported value 2.0 does not match the reference "
+            "value 2.5"
+        )
+
+    def test_corrupted_write_expectation_raises(self):
+        config = ptree_config()
+        program = _single_op_program(OP_ADD, config)
+        corrupted = np.array([2.0, 3.0, 5.0 * (1 + 2e-9)])  # just outside rtol
+        with pytest.raises(VerificationError) as excinfo:
+            Simulator(config, strict=True).run(program, [2.0, 3.0], corrupted)
+        assert str(excinfo.value) == (
+            "write of slot 2: transported value 5.0 does not match the reference "
+            f"value {5.0 * (1 + 2e-9)!r}"
+        )
+
+    def test_write_expectation_inside_tolerance_passes(self):
+        config = ptree_config()
+        program = _single_op_program(OP_ADD, config)
+        nearly = np.array([2.0, 3.0, 5.0 * (1 + 0.5e-9)])
+        result = Simulator(config, strict=True).run(program, [2.0, 3.0], nearly)
+        assert result.value == 5.0
 
 
 class TestPipelineSemantics:
