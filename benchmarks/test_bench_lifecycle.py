@@ -24,8 +24,6 @@ Results land in the ``model_lifecycle`` section of ``BENCH_sweeps.json``
 by CI).
 """
 
-from pathlib import Path
-
 from repro.experiments.sweeps import measure_lifecycle, update_bench_json
 
 #: Acceptance floors (see module docstring).
@@ -76,14 +74,14 @@ def test_model_lifecycle(benchmark, run_once):
     assert result["live_version_after_swap"] == "2"
 
 
-def test_bench_lifecycle_artifact(benchmark, run_once):
+def test_bench_lifecycle_artifact(benchmark, run_once, bench_json):
     payload = run_once(
         benchmark,
         lambda: update_bench_json(
-            Path("BENCH_sweeps.json"), model_lifecycle=_load_results()
+            bench_json, model_lifecycle=_load_results()
         ),
     )
-    assert Path("BENCH_sweeps.json").exists()
+    assert bench_json.exists()
     section = payload["model_lifecycle"]
     assert section["cold_start_speedup"] >= MIN_COLD_START_SPEEDUP
     assert section["bit_identical"]

@@ -27,8 +27,6 @@ Results land in the ``tape_memory`` section of ``BENCH_sweeps.json``
 by CI).
 """
 
-from pathlib import Path
-
 from repro.experiments.sweeps import measure_tape_memory, update_bench_json
 
 #: Acceptance floors (see module docstring).
@@ -87,14 +85,14 @@ def test_tape_memory_plan(benchmark, run_once):
         assert result["sharded_scaling_log"] > MIN_SHARDED_SCALING
 
 
-def test_bench_memory_artifact(benchmark, run_once):
+def test_bench_memory_artifact(benchmark, run_once, bench_json):
     payload = run_once(
         benchmark,
         lambda: update_bench_json(
-            Path("BENCH_sweeps.json"), tape_memory=_load_results()
+            bench_json, tape_memory=_load_results()
         ),
     )
-    assert Path("BENCH_sweeps.json").exists()
+    assert bench_json.exists()
     section = payload["tape_memory"]
     assert section["memory_reduction"] >= MIN_MEMORY_REDUCTION
     assert section["speedup_planned_vs_legacy"] >= MIN_PLANNED_SPEEDUP

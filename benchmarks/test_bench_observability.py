@@ -27,7 +27,6 @@ the measurement.  Results land in the ``observability`` section of
 
 import concurrent.futures
 import multiprocessing
-from pathlib import Path
 
 from repro.experiments.sweeps import (
     measure_observability_overhead,
@@ -105,14 +104,14 @@ def test_observability_overhead(benchmark, run_once):
     assert result["bit_identical"]
 
 
-def test_bench_observability_artifact(benchmark, run_once):
+def test_bench_observability_artifact(benchmark, run_once, bench_json):
     payload = run_once(
         benchmark,
         lambda: update_bench_json(
-            Path("BENCH_sweeps.json"), observability=_load_results()
+            bench_json, observability=_load_results()
         ),
     )
-    assert Path("BENCH_sweeps.json").exists()
+    assert bench_json.exists()
     section = payload["observability"]
     assert section["overhead_disabled"] <= MAX_OVERHEAD_DISABLED
     assert section["overhead_enabled"] <= MAX_OVERHEAD_ENABLED

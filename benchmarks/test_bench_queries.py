@@ -33,8 +33,6 @@ between the two, and lands in the ``analysis_queries`` section of the same
 artifact.
 """
 
-from pathlib import Path
-
 import pytest
 
 from repro.experiments.sweeps import (
@@ -145,16 +143,16 @@ def test_analysis_plan_shapes_recorded(benchmark, run_once):
     assert passes["sample_free_vars"] >= 1
 
 
-def test_bench_queries_artifact(benchmark, run_once):
+def test_bench_queries_artifact(benchmark, run_once, bench_json):
     payload = run_once(
         benchmark,
         lambda: update_bench_json(
-            Path("BENCH_sweeps.json"),
+            bench_json,
             query_api=_load_results(),
             analysis_queries=_load_classify_results(),
         ),
     )
-    assert Path("BENCH_sweeps.json").exists()
+    assert bench_json.exists()
     query_api = payload["query_api"]
     assert query_api["tape_passes_per_batch"] == 2
     assert query_api["bit_identical"]

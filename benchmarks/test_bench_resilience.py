@@ -21,7 +21,6 @@ Results land in the ``serving_resilience`` section of ``BENCH_sweeps.json``
 
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -208,14 +207,14 @@ def test_deadline_drop_precision(benchmark, run_once):
     assert result["typed_deadline_failures"] == result["deadline_requests"]
 
 
-def test_bench_resilience_artifact(benchmark, run_once):
+def test_bench_resilience_artifact(benchmark, run_once, bench_json):
     payload = run_once(
         benchmark,
         lambda: update_bench_json(
-            Path("BENCH_sweeps.json"), serving_resilience=_load_results()
+            bench_json, serving_resilience=_load_results()
         ),
     )
-    assert Path("BENCH_sweeps.json").exists()
+    assert bench_json.exists()
     section = payload["serving_resilience"]
     assert section["overhead_disabled"]["overhead_ratio"] <= OVERHEAD_GATE
     assert section["soak"]["invariants"]["clean"]

@@ -21,7 +21,6 @@ the batched service.  The measurements land in the ``serving`` section of
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,12 +108,12 @@ def test_dynamic_batching_throughput(benchmark, run_once):
     assert result["speedup_dynamic_vs_per_request"] >= 5.0
 
 
-def test_bench_serving_artifact(benchmark, run_once):
+def test_bench_serving_artifact(benchmark, run_once, bench_json):
     payload = run_once(
         benchmark,
-        lambda: update_bench_json(Path("BENCH_sweeps.json"), serving=_load_results()),
+        lambda: update_bench_json(bench_json, serving=_load_results()),
     )
-    assert Path("BENCH_sweeps.json").exists()
+    assert bench_json.exists()
     serving = payload["serving"]
     assert serving["bit_identical"]
     assert serving["speedup_dynamic_vs_per_request"] >= 5.0

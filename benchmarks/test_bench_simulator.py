@@ -13,8 +13,6 @@ reproducing its cycle counts and outputs exactly (the measurement itself
 cross-checks the two modes before reporting).
 """
 
-from pathlib import Path
-
 from repro.experiments import sweeps
 
 #: Computed once per session and shared between the two targets.
@@ -45,12 +43,12 @@ def test_fast_simulator_speedup(benchmark, run_once):
     assert result["speedup_fast_vs_strict"] >= 5.0
 
 
-def test_bench_simulator_artifact(benchmark, run_once):
+def test_bench_simulator_artifact(benchmark, run_once, bench_json):
     payload = run_once(
         benchmark,
         lambda: sweeps.update_bench_json(
-            Path("BENCH_sweeps.json"), simulator_speedup=_simulator_speedup()
+            bench_json, simulator_speedup=_simulator_speedup()
         ),
     )
-    assert Path("BENCH_sweeps.json").exists()
+    assert bench_json.exists()
     assert payload["simulator_speedup"]["speedup_fast_vs_strict"] >= 5.0

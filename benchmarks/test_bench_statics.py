@@ -26,8 +26,6 @@ Results land in the ``static_analysis`` section of ``BENCH_sweeps.json``
 by CI).
 """
 
-from pathlib import Path
-
 from repro.experiments.sweeps import measure_static_analysis, update_bench_json
 
 #: Acceptance gates (see module docstring).
@@ -81,14 +79,14 @@ def test_static_analysis(benchmark, run_once):
     assert result["lint_findings"] == 0
 
 
-def test_bench_statics_artifact(benchmark, run_once):
+def test_bench_statics_artifact(benchmark, run_once, bench_json):
     payload = run_once(
         benchmark,
         lambda: update_bench_json(
-            Path("BENCH_sweeps.json"), static_analysis=_load_results()
+            bench_json, static_analysis=_load_results()
         ),
     )
-    assert Path("BENCH_sweeps.json").exists()
+    assert bench_json.exists()
     section = payload["static_analysis"]
     assert section["verify_vs_compile"] <= MAX_VERIFY_VS_COMPILE
     assert section["detection_rate"] == REQUIRED_DETECTION_RATE

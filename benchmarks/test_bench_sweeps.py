@@ -1,7 +1,7 @@
 """Benchmark targets for the parallel sweep runner and the vectorized engine.
 
 Two quantities are measured and consolidated into the ``BENCH_sweeps.json``
-artifact (written at the repository root, uploaded by CI):
+artifact (``.benchmarks/BENCH_sweeps.json``, git-ignored, uploaded by CI):
 
 * the full design-space sweep grid, executed through the parallel, cached
   runner of :mod:`repro.experiments.sweeps`;
@@ -10,8 +10,6 @@ artifact (written at the repository root, uploaded by CI):
   1k+-node SPN with a 1000-row evidence batch — the acceptance target is
   a >= 10x speedup over that reference executor.
 """
-
-from pathlib import Path
 
 import pytest
 
@@ -75,16 +73,16 @@ def test_parallel_sweep_grid(benchmark, run_once, sweep_results):
     assert all(r.ops_per_cycle > 0 for r in results)
 
 
-def test_bench_sweeps_artifact(run_once, benchmark, sweep_results):
+def test_bench_sweeps_artifact(run_once, benchmark, sweep_results, bench_json):
     payload = run_once(
         benchmark,
         lambda: sweeps.write_bench_json(
             sweep_results(),
-            Path("BENCH_sweeps.json"),
+            bench_json,
             sweeps.DEFAULT_BENCHMARK,
             engine_speedup=_engine_speedup(),
         ),
     )
-    assert Path("BENCH_sweeps.json").exists()
+    assert bench_json.exists()
     assert payload["engine_speedup"]["speedup_vs_reference"] >= 10.0
     assert len(payload["sweeps"]) > 0

@@ -117,8 +117,8 @@ def main() -> None:
           f"vs {len(stream) / sequential_s:8.0f} one-at-a-time "
           f"({sequential_s / streamed_s:.1f}x)")
     print("  (this demo model is tiny — ~300 ops — so per-call overhead, not "
-          "compute, is the bottleneck;\n   on suite-sized networks dynamic "
-          "batching wins >10x: see the 'serving' section of BENCH_sweeps.json)")
+          "compute, is the bottleneck;\n   for suite-sized networks see the "
+          "'serving' section of BENCH_sweeps.json)")
 
 
 if __name__ == "__main__":

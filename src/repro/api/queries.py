@@ -40,8 +40,10 @@ unknown kind now fails at construction (:func:`as_kind`).
 from __future__ import annotations
 
 import enum
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -93,6 +95,10 @@ class QueryKind(str, enum.Enum):
 #: All query kinds, in declaration order.
 QUERY_KINDS: Tuple[QueryKind, ...] = tuple(QueryKind)
 
+#: Kind by value; a member hashes and compares as its value, so it finds
+#: itself too.
+_KINDS: Dict[str, QueryKind] = {kind.value: kind for kind in QueryKind}
+
 
 def as_kind(kind: Union[str, QueryKind]) -> QueryKind:
     """Coerce a kind name to :class:`QueryKind`, failing at construction time.
@@ -102,8 +108,8 @@ def as_kind(kind: Union[str, QueryKind]) -> QueryKind:
     raises ``ValueError`` here, never deep in a worker pool.
     """
     try:
-        return QueryKind(kind)
-    except ValueError:
+        return _KINDS[kind]
+    except (KeyError, TypeError):
         known = ", ".join(repr(k.value) for k in QueryKind)
         raise ValueError(
             f"unknown query kind {kind!r}; expected one of {known}"
@@ -121,7 +127,8 @@ def evidence_rows(evidence, n_vars: Optional[int] = None) -> np.ndarray:
     columns are unobserved), wider arrays are kept as-is.
     """
     width = int(n_vars or 0)
-    if isinstance(evidence, Mapping):
+    # An array is never a mapping; the ABC check is the slower of the two.
+    if not isinstance(evidence, np.ndarray) and isinstance(evidence, Mapping):
         if evidence:
             variables = as_evidence_array(np.asarray(list(evidence.keys())))
             values = as_evidence_array(np.asarray(list(evidence.values())))
@@ -163,6 +170,14 @@ def _variables_tuple(variables) -> Optional[Tuple[int, ...]]:
     if len(set(result)) != len(result):
         raise ValueError(f"variables contain duplicates: {result}")
     return result
+
+
+@functools.lru_cache(maxsize=None)
+def _param_names(cls: type) -> Tuple[str, ...]:
+    """The execution-parameter field names of a query class, in field order."""
+    return tuple(
+        f.name for f in fields(cls) if f.name not in ("evidence", "query", "row_ids")
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,11 +243,7 @@ class Query:
         serving layer's :meth:`group_key` co-batching stays row-scatter
         safe.
         """
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("evidence", "query", "row_ids")
-        }
+        return {name: getattr(self, name) for name in _param_names(type(self))}
 
     def group_key(self) -> tuple:
         """Hashable execution identity: kind plus every parameter.
@@ -253,7 +264,9 @@ class Query:
     @classmethod
     def join_rows(cls, rows: Sequence[np.ndarray], **params) -> "Query":
         """Rebuild a batched query from row payloads (inverse of split)."""
-        return cls(evidence=np.stack(rows) if len(rows) else
+        # np.array stacks equal-length rows exactly as np.stack does, with
+        # one C-level copy instead of a Python-level pass over the rows.
+        return cls(evidence=np.array(rows) if len(rows) else
                    np.zeros((0, 1), dtype=np.int64), **params)
 
     @classmethod
@@ -265,7 +278,7 @@ class Query:
         into one float64 array; :class:`MPE` and :class:`Sample` override
         this to keep their list / int64-array result types.
         """
-        return np.asarray(list(results), dtype=np.float64)
+        return np.array(results, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # Serialization

@@ -1135,7 +1135,8 @@ def measure_observability_overhead(
       :func:`~repro.spn.memplan.execute_plan` on the same
       :class:`~repro.spn.memplan.MemoryPlan` turned into log answers by
       :func:`~repro.spn.memplan.certified_log`, the arithmetic every
-      log-domain pass runs.  The instrumentation adds
+      log-domain pass runs (the linear program on the native plan kernel
+      when it has loaded, on both sides).  The instrumentation adds
       one contextvar read per batch; the gate requires the ratio <= 1.02.
     * **enabled** (metrics + tracing on) — :meth:`InferenceSession.run`
       with span recording against the same call with observability off.
@@ -1173,7 +1174,9 @@ def measure_observability_overhead(
     def run_raw():
         # The executor's log-domain arithmetic without its dispatch: the
         # linear program, np.log of the root, and the exact log program for
-        # the rows below the certified floor.
+        # the rows below the certified floor.  execute_plan includes its own
+        # native-kernel dispatch, exactly as execute_batch runs it, so the
+        # disabled/raw ratio still isolates the instrumentation.
         with observability_scope(metrics=False, tracing=False):
             return certified_log(
                 execute_plan(plan, evidence),

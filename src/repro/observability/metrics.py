@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Counter",
@@ -104,6 +105,19 @@ class Gauge:
         self.labels = dict(labels)
         self._lock = threading.Lock()
         self._value = 0.0
+        self._function: Optional[Callable[[], float]] = None
+
+    def track(self, function: Callable[[], float]) -> None:
+        """Read the gauge live from ``function`` from now on.
+
+        For a quantity its owner already keeps exactly (queue depth,
+        requests in flight): each read calls ``function``, so the hot path
+        that changes the quantity pays nothing to report it.  The value
+        :meth:`set`, :meth:`inc` and :meth:`dec` keep is not read while a
+        function is tracked.
+        """
+        with self._lock:
+            self._function = function
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -120,7 +134,9 @@ class Gauge:
     @property
     def value(self) -> float:
         with self._lock:
-            return self._value
+            function, value = self._function, self._value
+        # Called outside the gauge lock: the function takes its owner's.
+        return value if function is None else float(function())
 
     def snapshot_value(self) -> float:
         return self.value
@@ -160,17 +176,24 @@ class Histogram:
         self._samples: Deque[float] = deque(maxlen=max(int(window), 1))
 
     def observe(self, value: float) -> None:
-        value = float(value)
+        self.observe_many((value,))
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` every value in order, under one lock acquisition."""
+        values = [float(value) for value in values]
+        top = len(self.buckets)
+        # The first bound >= value; NaN compares false to every bound and
+        # lands in +Inf, as a linear ``value <= bound`` scan would put it.
+        indices = [
+            bisect_left(self.buckets, value) if value == value else top
+            for value in values
+        ]
         with self._lock:
-            index = len(self.buckets)
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    index = i
-                    break
-            self._counts[index] += 1
-            self._sum += value
-            self._count += 1
-            self._samples.append(value)
+            for index, value in zip(indices, values):
+                self._counts[index] += 1
+                self._sum += value
+            self._count += len(values)
+            self._samples.extend(values)
 
     @property
     def count(self) -> int:
@@ -226,6 +249,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: Dict[Tuple[str, str], Instrument] = {}
+        #: Bumped by :meth:`clear`: a hot path that holds instrument
+        #: handles looks them up again once its generation has passed.
+        self.generation = 0
 
     # ------------------------------------------------------------------ #
     # Registration (get-or-create)
@@ -309,6 +335,7 @@ class MetricsRegistry:
         """Drop every instrument (tests; a fresh process starts empty anyway)."""
         with self._lock:
             self._instruments.clear()
+            self.generation += 1
 
 
 #: The process-wide default registry every subsystem reports into unless it

@@ -31,7 +31,7 @@ breaks strict parsers on the other side of a stats endpoint).
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from ..observability import MetricsRegistry, metrics_enabled
 
@@ -87,10 +87,14 @@ class ServingMetrics:
 
     def record_request(self, latency_s: float) -> None:
         """Record one completed request's submit-to-result latency."""
-        if not metrics_enabled():
+        self.record_requests((latency_s,))
+
+    def record_requests(self, latencies_s: Sequence[float]) -> None:
+        """Record completed requests' submit-to-result latencies at once."""
+        if not latencies_s or not metrics_enabled():
             return
-        self._requests.inc()
-        self._latency.observe(latency_s)
+        self._requests.inc(len(latencies_s))
+        self._latency.observe_many(latencies_s)
 
     # ------------------------------------------------------------------ #
     # Reading

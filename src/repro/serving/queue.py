@@ -87,7 +87,7 @@ class BatchingPolicy:
             raise ValueError(f"max_queue_depth must be >= 1, got {self.max_queue_depth}")
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkItem:
     """One query row awaiting execution.
 
@@ -152,10 +152,6 @@ class MicroBatchQueue:
         depth_gauge: Optional[object] = None,
     ) -> None:
         self.policy = policy or BatchingPolicy()
-        #: Optional observability gauge tracking the instantaneous queue
-        #: depth (a :class:`repro.observability.Gauge`); updated under the
-        #: queue lock on every append/pop so the reading is exact.
-        self._depth_gauge = depth_gauge
         self._items: Deque[WorkItem] = deque()
         # Two conditions on one lock (the queue.Queue pattern): producers
         # wait on not_full, consumers on not_empty, and each side issues a
@@ -164,6 +160,18 @@ class MicroBatchQueue:
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
+        # Who a put must wake: consumers blocked for a batch's first item
+        # want every item; a consumer inside its batch window wants waking
+        # only once the queue holds enough to fill its batch (or is full).
+        # Waking it per item would hand the GIL back and forth with the
+        # submitter on every request for no change in the batch it forms.
+        self._idle_consumers = 0
+        self._fill_marks: List[int] = []
+        self._blocked_producers = 0  # waiting on not_full: a pop must wake one
+        if depth_gauge is not None:
+            # An optional observability gauge (a repro.observability.Gauge)
+            # reading the instantaneous depth live, under the queue lock.
+            depth_gauge.track(self.__len__)
 
     def __len__(self) -> int:
         with self._lock:
@@ -171,8 +179,8 @@ class MicroBatchQueue:
 
     @property
     def closed(self) -> bool:
-        with self._lock:
-            return self._closed
+        # One bool read needs no lock; put() re-checks under it.
+        return self._closed
 
     # ------------------------------------------------------------------ #
     # Producer side
@@ -186,25 +194,36 @@ class MicroBatchQueue:
         has been closed.
         """
         deadline = None if timeout is None else time.perf_counter() + timeout
-        with self._not_full:
+        with self._lock:
             while True:
                 if self._closed:
                     raise QueueClosedError("queue is closed to new work")
                 if len(self._items) < self.policy.max_queue_depth:
                     break
                 if deadline is None:
-                    self._not_full.wait()
+                    remaining = None
                 else:
                     remaining = deadline - time.perf_counter()
-                    if remaining <= 0 or not self._not_full.wait(remaining):
-                        raise QueueFullError(
-                            f"queue full ({self.policy.max_queue_depth} items) "
-                            f"after waiting {timeout}s"
-                        )
+                    if remaining <= 0:
+                        raise self._full_error(timeout)
+                self._blocked_producers += 1
+                try:
+                    woken = self._not_full.wait(remaining)
+                finally:
+                    self._blocked_producers -= 1
+                if not woken:
+                    raise self._full_error(timeout)
             self._items.append(item)
-            if self._depth_gauge is not None:
-                self._depth_gauge.set(len(self._items))
-            self._not_empty.notify()
+            if self._idle_consumers or (
+                self._fill_marks and len(self._items) >= min(self._fill_marks)
+            ):
+                self._not_empty.notify()
+
+    def _full_error(self, timeout: Optional[float]) -> QueueFullError:
+        return QueueFullError(
+            f"queue full ({self.policy.max_queue_depth} items) "
+            f"after waiting {timeout}s"
+        )
 
     def put_many(self, items: List[WorkItem], timeout: Optional[float] = None) -> None:
         """Admit several items, applying backpressure item by item.
@@ -246,11 +265,18 @@ class MicroBatchQueue:
                 if self._closed:
                     return None
                 if deadline is None:
-                    self._not_empty.wait()
+                    remaining = None
                 else:
                     remaining = deadline - time.perf_counter()
-                    if remaining <= 0 or not self._not_empty.wait(remaining):
+                    if remaining <= 0:
                         return []
+                self._idle_consumers += 1
+                try:
+                    woken = self._not_empty.wait(remaining)
+                finally:
+                    self._idle_consumers -= 1
+                if not woken and not self._items:
+                    return []
             batch = [self._pop()]
             window_ends = time.perf_counter() + policy.max_wait_s
             while len(batch) < policy.max_batch_size:
@@ -262,7 +288,15 @@ class MicroBatchQueue:
                 remaining = window_ends - time.perf_counter()
                 if remaining <= 0:
                     break
-                self._not_empty.wait(remaining)
+                # Sleep until the batch can be completed, the queue is full
+                # (a blocked producer needs the space), the queue closes or
+                # the window ends.
+                mark = min(policy.max_batch_size - len(batch), policy.max_queue_depth)
+                self._fill_marks.append(mark)
+                try:
+                    self._not_empty.wait(remaining)
+                finally:
+                    self._fill_marks.remove(mark)
             return batch
 
     def requeue(self, items: List[WorkItem]) -> None:
@@ -280,8 +314,6 @@ class MicroBatchQueue:
         with self._lock:
             for item in reversed(items):
                 self._items.appendleft(item)
-            if self._depth_gauge is not None:
-                self._depth_gauge.set(len(self._items))
             self._not_empty.notify_all()
 
     def _pop(self) -> WorkItem:
@@ -292,9 +324,8 @@ class MicroBatchQueue:
         frees, not after the consumer's batch window has run its course.
         """
         item = self._items.popleft()
-        if self._depth_gauge is not None:
-            self._depth_gauge.set(len(self._items))
-        self._not_full.notify()
+        if self._blocked_producers:
+            self._not_full.notify()
         return item
 
     # ------------------------------------------------------------------ #

@@ -62,9 +62,11 @@ _process_batch_fast` — the original, uninstrumented path.
 
 from __future__ import annotations
 
+import functools
 import logging
 import threading
-from concurrent.futures import Future, InvalidStateError
+from collections.abc import Mapping
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
@@ -72,7 +74,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -148,7 +149,7 @@ class ServerClosedError(RuntimeError):
     """Raised when submitting to a server that is not accepting work."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ServedModel:
     """One hosted model *version*: its name, version, and bound session.
 
@@ -168,7 +169,8 @@ class ServedModel:
     installed ``(name, version)`` and pins it on every admitted work item,
     so in-flight requests keep executing on the version they were admitted
     under across a hot-swap, and worker-side grouping by served model can
-    never merge rows of different versions.
+    never merge rows of different versions.  Equality and hashing are
+    therefore by identity.
     """
 
     name: str
@@ -197,20 +199,55 @@ class _Installed:
     report: PublishReport
 
 
-class _PendingRequest:
-    """Aggregates the row-level results of one submitted request.
+#: Marks a request row whose value has not been delivered yet.
+_UNFILLED = object()
+
+#: Each kind's per-row result assembler.
+_ASSEMBLERS = {kind: query_type(kind).assemble_rows for kind in QueryKind}
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_admission(kind) -> Tuple[QueryKind, type, Optional[tuple]]:
+    """How plain evidence submitted with ``kind`` is admitted.
+
+    Returns the validated kind, its query class and — when that class
+    holds nothing but its evidence (no ``__post_init__`` or
+    ``split_rows`` of its own) — the group key every such query has, the
+    class defaults'.  Raises ``ValueError`` for an unknown kind, and for
+    ``conditional``, which needs two assignments.  Cached per ``kind``
+    argument (call the ``__wrapped__`` function for an unhashable one).
+    """
+    query_kind = as_kind(kind if kind is not None else KIND_LOG_LIKELIHOOD)
+    if query_kind == QueryKind.CONDITIONAL:
+        raise ValueError(
+            "conditional queries carry two assignments; submit a typed "
+            "repro.api.Conditional object (or its payload) instead of "
+            "plain evidence with kind='conditional'"
+        )
+    cls = query_type(query_kind)
+    key = None
+    if cls.__post_init__ is Query.__post_init__ and cls.split_rows is Query.split_rows:
+        key = cls(evidence=np.zeros((0, 1), dtype=np.int64)).group_key()
+    return query_kind, cls, key
+
+
+class _PendingRequest(Future):
+    """One submitted request: the caller's future and its row-level results.
+
+    The request *is* the :class:`~concurrent.futures.Future` handed to the
+    caller.  Exactly one outcome claims it, under its lock: the last row's
+    :meth:`fill`, a :meth:`fail`, or the caller's :meth:`cancel` while rows
+    are still queued (a claimed request can no longer be cancelled, like a
+    running future).  The claimer releases the request's admission slot
+    through ``on_done`` (the server's in-flight release) before resolving
+    the future, so every outcome — including a cancellation no worker ever
+    observes — frees its slot exactly once.
 
     ``trace`` is the admission-time trace context (``None`` when tracing
     is off): the completing thread reactivates it so the response-scatter
     span lands on the same trace as the admission span.  ``slow_query_s``
     is the server's slow-query threshold; a completed request slower than
     it is logged (WARNING on the ``repro.serving`` logger) and counted.
-
-    ``on_done`` (the server's in-flight release) is attached as a future
-    done-callback: :class:`~concurrent.futures.Future` invokes callbacks
-    exactly once — on ``set_result``, ``set_exception`` *or* ``cancel()``
-    — so admission-controller slots are released on every outcome,
-    including a caller-side cancellation that no worker ever observes.
     """
 
     def __init__(
@@ -223,106 +260,148 @@ class _PendingRequest:
         slow_query_s: Optional[float] = None,
         on_done: Optional[Callable[[Future], None]] = None,
     ):
+        super().__init__()
         self.model = model
         self.kind = kind
         self.trace = trace
         self._slow_query_s = slow_query_s
-        self.future: Future = Future()
-        self._results: List[object] = [None] * n_rows
+        self._on_done = on_done
+        self._results: List[object] = [_UNFILLED] * n_rows
         self._remaining = n_rows
-        self._filled = [False] * n_rows
         self._lock = threading.Lock()
-        self._done = False  # claimed under the lock: exactly one completer
+        self._done = False  # claimed under the lock: exactly one outcome
         self._metrics = metrics
         self._created_at = perf_counter()
         if n_rows == 0:
             # A zero-row batch has nothing to deliver; resolve immediately
             # (mirroring evaluate_batch on an empty batch).
             self._done = True
-            self._set_result()
-        if on_done is not None:
-            # Attached last: on a zero-row request the future is already
-            # resolved and the callback fires (releasing the slot) here.
-            self.future.add_done_callback(on_done)
+            _resolve([self], metrics)
 
-    def _assemble(self) -> object:
-        # Each kind reassembles its own per-row results (float stacking for
-        # the value kinds, list for MPE, int64 stacking for Sample), so a
-        # served result has exactly the type and dtype of offline
-        # ``session.run``.
-        return query_type(self.kind).assemble_rows(self._results)
-
-    def _set_result(self) -> None:
-        latency = perf_counter() - self._created_at
-        if TRACER.enabled and self.trace is not None:
-            # The completer may be any worker thread; reactivate the
-            # admission context so the respond span joins the request's
-            # trace (contextvars never crossed the queue).
-            with TRACER.activate(self.trace):
-                with TRACER.span(
-                    "serving.respond",
-                    model=self.model,
-                    kind=self.kind.value,
-                    latency_ms=latency * 1e3,
-                ):
-                    result = self._assemble()
-        else:
-            result = self._assemble()
-        # Record before resolving: a caller that awaits the result and then
-        # reads metrics.snapshot() must see its own request counted.
-        if not self.future.cancelled():
-            self._metrics.record_request(latency)
-            if self._slow_query_s is not None and latency >= self._slow_query_s:
-                if metrics_enabled():
-                    self._metrics.registry.counter(
-                        "serving_slow_requests_total"
-                    ).inc()
-                logger.warning(
-                    "slow query: model=%s kind=%s latency_ms=%.3f threshold_ms=%.3f",
-                    self.model,
-                    self.kind.value,
-                    latency * 1e3,
-                    self._slow_query_s * 1e3,
-                )
-        try:
-            self.future.set_result(result)
-        except InvalidStateError:
-            # The caller cancelled the future (e.g. an asyncio timeout
-            # propagated through wrap_future) while its rows were queued;
-            # the computed result is simply dropped.
-            pass
+    @property
+    def future(self) -> Future:
+        """The caller's future: the request itself."""
+        return self
 
     @property
     def abandoned(self) -> bool:
-        """True once the request can no longer use results (failed/cancelled)."""
-        with self._lock:
-            return self._done or self.future.cancelled()
+        """True once the request can no longer use results (claimed)."""
+        # A lock-free read: ``_done`` only ever flips False -> True, so a
+        # stale False costs one wasted row, exactly as a request failing
+        # right after a locked read would.
+        return self._done
 
-    def deliver(self, index: int, value: object) -> None:
+    def _release(self) -> None:
+        if self._on_done is not None:
+            self._on_done(self)
+
+    def _assemble(self, latency: float) -> object:
+        """The assembled result, under a ``serving.respond`` span when traced.
+
+        Each kind reassembles its own per-row results (float stacking for
+        the value kinds, list for MPE, int64 stacking for Sample), so a
+        served result has exactly the type and dtype of offline
+        ``session.run``.
+        """
+        assemble = _ASSEMBLERS[self.kind]
+        if not TRACER.enabled or self.trace is None:
+            return assemble(self._results)
+        # The completer may be any worker thread; reactivate the admission
+        # context so the respond span joins the request's trace
+        # (contextvars never crossed the queue).
+        with TRACER.activate(self.trace):
+            with TRACER.span(
+                "serving.respond",
+                model=self.model,
+                kind=self.kind.value,
+                latency_ms=latency * 1e3,
+            ):
+                return assemble(self._results)
+
+    def _log_slow(self, latency: float) -> None:
+        """Count and log a request slower than the slow-query threshold."""
+        if metrics_enabled():
+            self._metrics.registry.counter("serving_slow_requests_total").inc()
+        logger.warning(
+            "slow query: model=%s kind=%s latency_ms=%.3f threshold_ms=%.3f",
+            self.model,
+            self.kind.value,
+            latency * 1e3,
+            self._slow_query_s * 1e3,
+        )
+
+    def fill(self, index: int, value: object) -> bool:
+        """Store one row's value; ``True`` when that completed the request.
+
+        Exactly one call ever returns ``True``; its caller owns the
+        completion and hands the request to :func:`_resolve`.
+        """
         with self._lock:
-            if self._done or self._filled[index]:
+            if self._done or self._results[index] is not _UNFILLED:
                 # Idempotent per row: a crash-rescued item that was already
                 # delivered before the worker died must not double-count
                 # against ``_remaining`` when its requeued copy re-executes.
-                return
-            self._filled[index] = True
+                return False
             self._results[index] = value
             self._remaining -= 1
-            finished = self._remaining == 0
-            if finished:
-                self._done = True
-        if finished:
-            self._set_result()
+            if self._remaining:
+                return False
+            self._done = True
+            return True
+
+    def deliver(self, index: int, value: object) -> None:
+        """Store one row's value, resolving the request with its last row."""
+        if self.fill(index, value):
+            _resolve([self], self._metrics)
 
     def fail(self, exc: BaseException) -> None:
         with self._lock:
             if self._done:
                 return
             self._done = True
+        self._release()
+        self.set_exception(exc)
+
+    def cancel(self) -> bool:
+        """Cancel the request unless a row, a failure or a cancel claimed it."""
+        with self._lock:
+            claimed = not self._done
+            self._done = True
+        if not claimed:
+            return self.cancelled()
+        self._release()
+        return super().cancel()
+
+
+def _resolve(requests: Sequence[_PendingRequest], metrics: ServingMetrics) -> None:
+    """Resolve claimed requests, each with its own result or its own error.
+
+    Every request is assembled first and the successes are recorded in one
+    call before any future resolves: a caller that awaits its result and
+    then reads ``metrics.snapshot()`` must see its own request counted.  A
+    request whose assembly raises fails with that error; it never strands
+    the others, which are already claimed and would otherwise never
+    resolve.
+    """
+    now = perf_counter()
+    outcomes = []
+    for request in requests:
+        latency = now - request._created_at
         try:
-            self.future.set_exception(exc)
-        except InvalidStateError:  # cancelled by the caller: nothing to report
-            pass
+            outcomes.append((request, latency, request._assemble(latency), None))
+        except Exception as exc:  # noqa: BLE001 - set on the request's future
+            outcomes.append((request, latency, None, exc))
+    metrics.record_requests(
+        [latency for _, latency, _, error in outcomes if error is None]
+    )
+    for request, latency, result, error in outcomes:
+        request._release()
+        if error is not None:
+            request.set_exception(error)
+            continue
+        if request._slow_query_s is not None and latency >= request._slow_query_s:
+            request._log_slow(latency)
+        request.set_result(result)
 
 
 class InferenceServer:
@@ -439,8 +518,9 @@ class InferenceServer:
         self._max_in_flight = max_in_flight
         self._in_flight_lock = threading.Lock()
         self._in_flight = 0
-        self._in_flight_gauge = self.metrics.registry.gauge("serving_in_flight")
+        self.metrics.registry.gauge("serving_in_flight").track(self.in_flight)
         self._shed_total = self.metrics.registry.counter("serving_shed_total")
+        self._traffic: Dict[Tuple[str, str], tuple] = {}
         self._deadline_total = self.metrics.registry.counter(
             "serving_deadline_exceeded_total"
         )
@@ -738,17 +818,13 @@ class InferenceServer:
             ):
                 return False
             self._in_flight += 1
-            count = self._in_flight
-        self._in_flight_gauge.set(count)
         return True
 
-    def _release_slot(self, _future: Future) -> None:
-        # Future done-callback: fires exactly once per request, whether it
-        # resolved, failed, or was cancelled by the caller.
+    def _release_slot(self, _request: Future) -> None:
+        # Called exactly once per request, by whichever outcome claims it:
+        # its result, its failure, or the caller's cancellation.
         with self._in_flight_lock:
             self._in_flight -= 1
-            count = self._in_flight
-        self._in_flight_gauge.set(count)
 
     def submit(
         self,
@@ -814,7 +890,7 @@ class InferenceServer:
 
     def _submit(self, model, evidence, kind, timeout, span, deadline_s=None) -> Future:
         served = self.model(model)
-        query = self._as_query(served, evidence, kind)
+        query_kind, rows, key = self._admit(served, evidence, kind)
         if not self.running:
             raise ServerClosedError("server is not running; call start() first")
         deadline_at = None
@@ -827,9 +903,7 @@ class InferenceServer:
                     f"deadline_s={deadline_s} leaves no time to serve the request"
                 )
             deadline_at = self._now() + deadline_s
-        rows = query.split_rows()
-        key = query.group_key()
-        kind_label = query.kind.value
+        kind_label = query_kind.value
         trace = None
         if span is not None:
             span.set(kind=kind_label, n_rows=len(rows))
@@ -838,12 +912,11 @@ class InferenceServer:
             # Per-(model, kind) traffic counters go to the process-wide
             # registry: they aggregate across servers and are what the
             # `python -m repro.observability snapshot` CLI reports.
-            REGISTRY.counter(
-                "serving_requests_total", model=model, kind=kind_label
-            ).inc()
-            REGISTRY.counter(
-                "serving_rows_total", model=model, kind=kind_label
-            ).inc(len(rows))
+            traffic = self._traffic.get((model, kind_label))
+            if traffic is None or traffic[0] != REGISTRY.generation:
+                traffic = self._traffic_counters(model, kind_label)
+            traffic[1].inc()
+            traffic[2].inc(len(rows))
         if not self._acquire_slot():
             if metrics_enabled():
                 self._shed_total.inc()
@@ -852,26 +925,25 @@ class InferenceServer:
                 f"requests; load shed (retryable)"
             )
         # From here on, every outcome — delivery, failure, cancellation —
-        # releases the slot through the request's future done-callback.
+        # releases the slot: whichever claims the request calls on_done.
         request = _PendingRequest(
             model,
-            query.kind,
+            query_kind,
             len(rows),
             self.metrics,
             trace=trace,
             slow_query_s=self.slow_query_s,
             on_done=self._release_slot,
         )
-        admitted_at = perf_counter()
+        admitted_at = request._created_at
         # Pin the resolved version on every row: a hot-swap between admission
         # and execution must not migrate in-flight rows to a different tape.
         items = [
             WorkItem(
-                model=model, kind=key, row=rows[i], index=i, request=request,
-                served=served, trace=trace, admitted_at=admitted_at,
-                deadline_at=deadline_at,
+                model, key, row, index, request, served, trace, admitted_at,
+                deadline_at,
             )
-            for i in range(len(rows))
+            for index, row in enumerate(rows)
         ]
         put_timeout = timeout
         if deadline_at is not None:
@@ -898,7 +970,22 @@ class InferenceServer:
                 raise deadline_exc from exc
             request.fail(exc)
             raise
-        return request.future
+        return request
+
+    def _traffic_counters(self, model: str, kind_label: str) -> tuple:
+        """The process-wide request and row counters of ``(model, kind)``.
+
+        Held per server with the registry generation they were looked up
+        under, so admission skips two registry lookups per request and a
+        cleared registry is picked up again.
+        """
+        traffic = (
+            REGISTRY.generation,
+            REGISTRY.counter("serving_requests_total", model=model, kind=kind_label),
+            REGISTRY.counter("serving_rows_total", model=model, kind=kind_label),
+        )
+        self._traffic[(model, kind_label)] = traffic
+        return traffic
 
     def query(self, model, evidence, kind=None, timeout=None, deadline_s=None):
         """Blocking convenience wrapper around :meth:`submit`."""
@@ -948,16 +1035,26 @@ class InferenceServer:
     # ------------------------------------------------------------------ #
     # Query construction (everything becomes a typed query at admission)
     # ------------------------------------------------------------------ #
-    def _as_query(self, served: ServedModel, evidence, kind) -> Query:
-        """Coerce any accepted submission form to a width-normalized query.
+    def _admit(
+        self, served: ServedModel, evidence, kind
+    ) -> Tuple[QueryKind, List[np.ndarray], tuple]:
+        """Coerce any accepted submission form to its kind, rows and group key.
 
         Typed queries pass through (re-encoded to the model's evidence
         width); payload dicts (string-keyed, carrying a ``"kind"``
         discriminator) deserialize; plain evidence pairs with ``kind``,
         which :func:`repro.api.as_kind` validates here — an unknown kind
-        never reaches the worker pool.
+        never reaches the worker pool.  The rows and key are the
+        width-normalized query's ``split_rows()`` and ``group_key()``.
+        Plain evidence of a kind whose query class holds nothing but its
+        evidence (:func:`_plain_admission`) skips building that query: its
+        rows are the encoded rows and its key is fixed per kind.
         """
-        if isinstance(evidence, Mapping) and "kind" in evidence:
+        if (
+            not isinstance(evidence, np.ndarray)  # cheaper than the ABC check
+            and isinstance(evidence, Mapping)
+            and "kind" in evidence
+        ):
             from ..api.queries import deserialize_query
 
             evidence = deserialize_query(evidence)
@@ -967,15 +1064,19 @@ class InferenceServer:
                     f"kind {as_kind(kind).value!r} disagrees with the submitted "
                     f"{evidence.kind.value!r} query object"
                 )
-            return self._normalize_query(served, evidence)
-        query_kind = as_kind(kind if kind is not None else KIND_LOG_LIKELIHOOD)
-        if query_kind == QueryKind.CONDITIONAL:
-            raise ValueError(
-                "conditional queries carry two assignments; submit a typed "
-                "repro.api.Conditional object (or its payload) instead of "
-                "plain evidence with kind='conditional'"
+            query = self._normalize_query(served, evidence)
+        else:
+            admission = (
+                _plain_admission
+                if kind is None or isinstance(kind, str)
+                else _plain_admission.__wrapped__
             )
-        return query_type(query_kind)(evidence=self._encode(served, evidence))
+            query_kind, cls, key = admission(kind)
+            encoded = self._encode(served, evidence)
+            if key is not None:
+                return query_kind, list(encoded), key
+            query = cls(evidence=encoded)
+        return query.kind, query.split_rows(), query.group_key()
 
     def _normalize_query(self, served: ServedModel, query: Query) -> Query:
         """Re-encode a typed query's arrays to the model's evidence width."""
@@ -1030,7 +1131,9 @@ class InferenceServer:
                     f"{served.name!r} with {served.n_vars} variables"
                 )
             return wide[:, :n_vars].copy()
-        if isinstance(evidence, np.ndarray) and np.shares_memory(wide, evidence):
+        if isinstance(evidence, np.ndarray):
+            # Copying outright is cheaper than proving the encoded rows do
+            # not share the caller's buffer (a row is a few hundred bytes).
             return wide.copy()
         return wide
 
@@ -1132,7 +1235,12 @@ class InferenceServer:
                 if now >= item.deadline_at:
                     self._expire(item)
                     continue
-            groups.setdefault((item.served, item.kind), []).append(item)
+            key = (item.served, item.kind)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [item]
+            else:
+                group.append(item)
         return groups
 
     def _run_group(
@@ -1153,8 +1261,14 @@ class InferenceServer:
                 item.request.fail(exc)
             return
         self.metrics.record_batch(len(items), self.policy.max_batch_size)
-        for item, value in zip(items, values):
-            item.request.deliver(item.index, value)
+        _resolve(
+            [
+                item.request
+                for item, value in zip(items, values)
+                if item.request.fill(item.index, value)
+            ],
+            self.metrics,
+        )
 
     def _expire(self, item: WorkItem) -> None:
         """Fail an expired row's request with the typed deadline error."""
@@ -1207,13 +1321,17 @@ class InferenceServer:
         if not (record or trace):
             return
         now = perf_counter()
-        for item in batch:
-            if item.admitted_at <= 0.0:
-                continue
-            wait_s = max(0.0, now - item.admitted_at)
-            if record:
-                self._queue_wait.observe(wait_s)
-            if trace and item.trace is not None:
+        waits = [
+            (item, max(0.0, now - item.admitted_at))
+            for item in batch
+            if item.admitted_at > 0.0
+        ]
+        if record:
+            self._queue_wait.observe_many([wait_s for _, wait_s in waits])
+        if not trace:
+            return
+        for item, wait_s in waits:
+            if item.trace is not None:
                 with TRACER.activate(item.trace):
                     TRACER.event(
                         "serving.queue_wait",

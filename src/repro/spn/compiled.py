@@ -80,11 +80,12 @@ from .memplan import (
     ExecutionOptions,
     MemoryPlan,
     _as_stride_slice as _as_slice,
-    _blocked_plan,
     certified_log,
+    execute_plan,
     execute_sharded,
     plan_memory,
     resolve_execution,
+    verify_native,
     verify_plan,
 )
 
@@ -576,13 +577,16 @@ class CompiledTape:
             # Memoized per plan object — checked batches pay it once.  The
             # replay runs the domain that actually executes: the linear
             # program on the batch prefix, and the log program on the
-            # first rows that fall back to it.
+            # first rows that fall back to it.  A linear pass also checks
+            # the native kernel's roots against the NumPy loop.
             if not getattr(plan, "_statics_verified", False):
                 from ..statics.verifier import verify_compiled
 
                 verify_compiled(self, plan)
                 plan._statics_verified = True
             verify_plan(self, plan, data[:CHECK_ROWS], log_domain=log_domain)
+            if not log_domain:
+                verify_native(plan, data[:CHECK_ROWS])
         block = max(64, _BLOCK_BYTES // (8 * max(plan.n_physical, 1)))
         out = np.empty(n_rows, dtype=np.float64)
         if options.mode == "sharded":
@@ -590,8 +594,7 @@ class CompiledTape:
                 plan, data, log_domain=log_domain, out=out,
                 options=options, block_rows=block, profiler=profiler,
             )
-        _blocked_plan(plan, data, log_domain, out, block, profiler)
-        return out
+        return execute_plan(plan, data, log_domain, out, profiler, block)
 
     def execute(
         self, evidence: Optional[Mapping[int, int]] = None, log_domain: bool = False

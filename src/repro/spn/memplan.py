@@ -25,17 +25,20 @@ registers:
   independent, cutting Python dispatch on the deep, narrow tapes the suite
   profiles produce (one kernel per level pair means depth ~ dispatch
   count).
-* :func:`execute_plan` executes a planned tape over a row block, reusing a
-  per-thread scratch buffer (``plan.workspace``), and
-  :func:`execute_sharded` splits very large batches into row shards run on
-  a shared thread pool — the NumPy reduction kernels release the GIL, so
-  shards overlap on multicore hosts.
+* :func:`execute_plan` executes a planned tape over a row block: a linear
+  pass runs the native kernel (:mod:`repro.spn.native`, one C loop over
+  cache-resident row tiles) when its library has loaded, and otherwise
+  the NumPy kernel loop over a per-thread scratch buffer
+  (``plan.workspace``); :func:`execute_sharded` splits very large batches
+  into row shards run on a shared thread pool — both executors release
+  the GIL, so shards overlap on multicore hosts.
 
 Every physical-slot program computes exactly the same elementwise
 operations in exactly the same order as the legacy executor, so planned
 (and sharded) results are **bit-identical** to the legacy ``(n_slots,
-n_rows)`` matrix; :func:`verify_plan` checks that slot by slot and backs
-the ``check=True`` switch of :meth:`CompiledTape.execute_batch`.
+n_rows)`` matrix; :func:`verify_plan` checks that slot by slot,
+:func:`verify_native` checks the native roots against the NumPy loop, and
+both back the ``check=True`` switch of :meth:`CompiledTape.execute_batch`.
 
 The executor knob is :class:`ExecutionOptions` (``mode``:
 ``"planned"`` (default) | ``"sharded"`` | ``"legacy"``), accepted — as an
@@ -55,6 +58,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import native
 from .graph import StructureError
 from .linearize import OP_ADD, OP_MUL
 
@@ -73,6 +77,7 @@ __all__ = [
     "execute_plan",
     "execute_sharded",
     "verify_plan",
+    "verify_native",
 ]
 
 #: Modes accepted by every ``execution=`` switch in the repository.
@@ -250,6 +255,9 @@ class MemoryPlan:
 
     def __post_init__(self) -> None:
         self._scratch = threading.local()
+        # The native kernel (repro.spn.native), resolved at the first pass
+        # or reserve(): a PlanKernel, or None to run the NumPy loop.
+        self._native = native.UNRESOLVED
         # Concatenated kernel metadata, derived once per construction the
         # way ``CompiledTape.__post_init__`` derives its input-slot vectors:
         # every way a plan comes to exist (planner or payload loader) runs
@@ -464,8 +472,17 @@ class MemoryPlan:
         return buffer[:, :n_rows]
 
     def reserve(self, n_rows: int) -> None:
-        """Preallocate the calling thread's scratch for ``n_rows`` rows."""
-        self.workspace(max(int(n_rows), 1))
+        """Preallocate the calling thread's scratch for ``n_rows`` rows.
+
+        With the native kernel that is its fixed-size tile buffer (the
+        library is resolved here at the latest); otherwise the NumPy
+        loop's ``(n_physical, n_rows)`` workspace.
+        """
+        kernel = native.plan_kernel(self)
+        if kernel is not None:
+            kernel.tile()
+        else:
+            self.workspace(max(int(n_rows), 1))
 
 
 # --------------------------------------------------------------------------- #
@@ -913,9 +930,11 @@ def plan_from_payload(payload: dict) -> MemoryPlan:
     """Rebuild a plan from :func:`plan_to_payload` output, validating it.
 
     Every physical-row reference is checked against the recorded buffer
-    height and every source slot against the recorded tape length, so a
-    corrupted plan raises :class:`~repro.spn.graph.StructureError` at load
-    time rather than an out-of-bounds gather at serve time.
+    height, every source slot against the recorded tape length and every
+    indicator variable for a non-negative index, so a corrupted plan
+    raises :class:`~repro.spn.graph.StructureError` at load time rather
+    than an out-of-bounds gather (or a silently wrong column) at serve
+    time.
     """
     if not isinstance(payload, dict):
         raise StructureError("plan section: expected a dict")
@@ -1010,6 +1029,11 @@ def plan_from_payload(payload: dict) -> MemoryPlan:
                 )
             except (TypeError, ValueError):
                 raise StructureError(f"{ctx}: malformed encode section") from None
+            if ind_vars.size and int(ind_vars.min()) < 0:
+                # A negative index would silently read a column from the end.
+                raise StructureError(
+                    f"{ctx}: encode ind_vars references a negative variable"
+                )
             if (
                 ind_vars.shape != ind_rows.shape
                 or ind_values.shape != ind_rows.shape
@@ -1127,109 +1151,106 @@ def execute_plan(
     log_domain: bool = False,
     out: Optional[np.ndarray] = None,
     profiler=None,
+    block_rows: Optional[int] = None,
+    release_gil: bool = False,
 ) -> np.ndarray:
     """Run a planned tape over one (already validated) evidence block.
 
     Writes the root values into ``out`` (allocated when ``None``) and
-    returns it.  When the plan's final kernel produces exactly the root
-    (``root_direct``), that kernel computes straight into ``out`` — no
-    root-row copy at all; otherwise the root's physical row is copied out
-    once.  The physical buffer is the calling thread's reusable scratch.
+    returns it.  An unprofiled linear pass runs the native kernel
+    (:mod:`repro.spn.native`) whenever its library has loaded: the whole
+    kernel list in one C loop over cache-resident row tiles, bit-identical
+    to the NumPy loop.  Everything else — log-domain programs, profiled
+    passes, hosts without a C compiler — runs the NumPy kernel loop
+    (:func:`_plan_loop`) over the calling thread's reusable scratch, in
+    row blocks of at most ``block_rows`` (the native kernel tiles rows
+    itself and ignores it).  The native call keeps the GIL unless
+    ``release_gil`` (set by :func:`execute_sharded`'s shards).
 
     ``profiler`` (a :class:`repro.observability.TapeProfiler`, resolved
-    once per batch by the caller) switches to an instrumented copy of the
-    kernel loop that records per-kernel elapsed/rows/bytes; the default
-    ``None`` takes this uninstrumented loop, so unprofiled execution pays
-    nothing.
+    once per batch by the caller) records per-kernel elapsed/rows/bytes
+    from the NumPy loop; the default ``None`` leaves the pass
+    uninstrumented.
     """
-    if profiler is not None:
-        return _execute_plan_profiled(plan, data, log_domain, out, profiler)
     n_rows = data.shape[0]
     if out is None:
         out = np.empty(n_rows, dtype=np.float64)
-    block = plan.workspace(n_rows)
-    last = len(plan.kernels) - 1
-    for i, kernel in enumerate(plan.kernels):
-        if kernel.encode is not None:
-            _encode_inputs(kernel.encode, block, data, log_domain)
-        a = _operand_block(kernel, block, log_domain, 0)
-        b = _operand_block(kernel, block, log_domain, 1)
-        if i == last and plan.root_direct:
-            dest = out[None, :]
-        else:
-            dest = block[kernel.dest_start : kernel.dest_stop]
-        if log_domain:
-            if kernel.op == OP_ADD:
-                np.logaddexp(a, b, out=dest)
-            else:
-                np.add(a, b, out=dest)
-        else:
-            if kernel.op == OP_ADD:
-                np.add(a, b, out=dest)
-            else:
-                np.multiply(a, b, out=dest)
-    if not plan.root_direct:
-        out[:] = block[plan.root_phys]
+    if profiler is None and not log_domain:
+        kernel = native.plan_kernel(plan)
+        if kernel is not None and kernel.run(data, out, release_gil):
+            return out
+    block = min(block_rows or n_rows, n_rows)
+    for start in range(0, n_rows, max(block, 1)):
+        stop = min(start + block, n_rows)
+        _plan_loop(
+            plan, data[start:stop], log_domain, out[start:stop],
+            plan.workspace(stop - start), profiler,
+        )
     return out
 
 
-def _execute_plan_profiled(
+def _plan_loop(
     plan: MemoryPlan,
     data: np.ndarray,
     log_domain: bool,
-    out: Optional[np.ndarray],
-    profiler,
+    out: np.ndarray,
+    block: np.ndarray,
+    profiler=None,
+    inspect: Optional[Callable[[PlannedKernel, np.ndarray], None]] = None,
 ) -> np.ndarray:
-    """The instrumented twin of :func:`execute_plan` (same ops, same order).
+    """The NumPy kernel loop over the physical buffer ``block``.
 
-    Records one sample per planned kernel — keyed ``k<index>`` in plan
-    order, with input encoding attributed to a ``k<index>.encode``
-    pseudo-kernel — plus the pass's total wall time (the coverage
-    denominator).  Bytes count operand reads and destination writes at 8
-    bytes per value off the plan's physical layout; a broadcast-constant
-    operand contributes only its ``(width, 1)`` column.
+    When the plan's final kernel produces exactly the root
+    (``root_direct``), that kernel computes straight into ``out``;
+    otherwise the root's physical row is copied out once.
+
+    Two optional hooks, each resolved once per block: ``profiler`` records
+    one sample per planned kernel — keyed ``k<index>`` in plan order, with
+    input encoding attributed to a ``k<index>.encode`` pseudo-kernel —
+    plus the pass's total wall time (the coverage denominator).  Bytes
+    count operand reads and destination writes at 8 bytes per value off
+    the plan's physical layout; a broadcast-constant operand contributes
+    only its ``(width, 1)`` column.  ``inspect(kernel, dest)`` sees every
+    kernel's freshly written destination rows (:func:`verify_plan`).
     """
     n_rows = data.shape[0]
-    if out is None:
-        out = np.empty(n_rows, dtype=np.float64)
-    block = plan.workspace(n_rows)
     last = len(plan.kernels) - 1
-    t_pass = time.perf_counter()
+    add, mul = (np.logaddexp, np.add) if log_domain else (np.add, np.multiply)
+    record = None if profiler is None else profiler.record
+    clock = time.perf_counter
+    t_pass = t0 = clock()
     for i, kernel in enumerate(plan.kernels):
         if kernel.encode is not None:
-            n_encoded = kernel.encode.ind_rows.size + kernel.encode.const_rows.size
-            t0 = time.perf_counter()
+            if record is not None:
+                t0 = clock()
             _encode_inputs(kernel.encode, block, data, log_domain)
-            profiler.record(
-                f"k{i:03d}.encode", "enc", n_encoded,
-                time.perf_counter() - t0, n_rows, 8 * n_rows * n_encoded,
-            )
-        t0 = time.perf_counter()
+            if record is not None:
+                n_encoded = kernel.encode.ind_rows.size + kernel.encode.const_rows.size
+                record(
+                    f"k{i:03d}.encode", "enc", n_encoded,
+                    clock() - t0, n_rows, 8 * n_rows * n_encoded,
+                )
+        if record is not None:
+            t0 = clock()
         a = _operand_block(kernel, block, log_domain, 0)
         b = _operand_block(kernel, block, log_domain, 1)
         if i == last and plan.root_direct:
             dest = out[None, :]
         else:
             dest = block[kernel.dest_start : kernel.dest_stop]
-        if log_domain:
-            if kernel.op == OP_ADD:
-                np.logaddexp(a, b, out=dest)
-            else:
-                np.add(a, b, out=dest)
-        else:
-            if kernel.op == OP_ADD:
-                np.add(a, b, out=dest)
-            else:
-                np.multiply(a, b, out=dest)
-        elapsed = time.perf_counter() - t0
-        lane_bytes = 8 * n_rows * kernel.width
-        nbytes = lane_bytes  # destination write
-        nbytes += lane_bytes if kernel.const_arg0 is None else 8 * kernel.width
-        nbytes += lane_bytes if kernel.const_arg1 is None else 8 * kernel.width
-        profiler.record(f"k{i:03d}", kernel.op, kernel.width, elapsed, n_rows, nbytes)
+        (add if kernel.op == OP_ADD else mul)(a, b, out=dest)
+        if record is not None:
+            lane_bytes = 8 * n_rows * kernel.width
+            nbytes = lane_bytes  # destination write
+            nbytes += lane_bytes if kernel.const_arg0 is None else 8 * kernel.width
+            nbytes += lane_bytes if kernel.const_arg1 is None else 8 * kernel.width
+            record(f"k{i:03d}", kernel.op, kernel.width, clock() - t0, n_rows, nbytes)
+        if inspect is not None:
+            inspect(kernel, dest)
     if not plan.root_direct:
         out[:] = block[plan.root_phys]
-    profiler.record_pass(time.perf_counter() - t_pass)
+    if record is not None:
+        profiler.record_pass(clock() - t_pass)
     return out
 
 
@@ -1287,10 +1308,10 @@ def execute_sharded(
 ) -> np.ndarray:
     """Run a planned tape over row shards on the shared thread pool.
 
-    Each shard executes the planned block loop independently (with its own
-    thread-local scratch buffer) into a disjoint range of ``out``; NumPy's
-    reduction kernels release the GIL, so shards overlap on multicore
-    hosts.  Batches too small to shard (fewer than two
+    Each shard runs :func:`execute_plan` independently (with its own
+    thread-local scratch buffer) into a disjoint range of ``out``; the
+    native kernel (asked to here) and NumPy's array loops release the GIL,
+    so shards overlap on multicore hosts.  Batches too small to shard (fewer than two
     ``options.min_shard_rows`` spans) run on the calling thread.
 
     ``profiler`` is forwarded into the shard closures explicitly — context
@@ -1304,39 +1325,20 @@ def execute_sharded(
     n_shards = min(options.n_threads, max(1, n_rows // options.min_shard_rows))
     bounds = shard_bounds(n_rows, n_shards)
 
-    def run_shard(lo: int, hi: int) -> None:
-        _blocked_plan(plan, data[lo:hi], log_domain, out[lo:hi], block_rows, profiler)
-
     if len(bounds) <= 1:
-        run_shard(0, n_rows)
-        return out
+        return execute_plan(plan, data, log_domain, out, profiler, block_rows)
+
+    def run_shard(lo: int, hi: int) -> None:
+        execute_plan(
+            plan, data[lo:hi], log_domain, out[lo:hi], profiler, block_rows,
+            release_gil=True,
+        )
+
     pool = _shard_pool(options.n_threads)
     futures = [pool.submit(run_shard, lo, hi) for lo, hi in bounds]
     for future in futures:
         future.result()
     return out
-
-
-def _blocked_plan(
-    plan: MemoryPlan,
-    data: np.ndarray,
-    log_domain: bool,
-    out: np.ndarray,
-    block_rows: Optional[int],
-    profiler=None,
-) -> None:
-    """Planned execution of one shard, in cache-sized row blocks."""
-    n_rows = data.shape[0]
-    block = block_rows or n_rows
-    if n_rows <= block:
-        execute_plan(plan, data, log_domain=log_domain, out=out, profiler=profiler)
-        return
-    for start in range(0, n_rows, block):
-        stop = min(start + block, n_rows)
-        execute_plan(
-            plan, data[start:stop], log_domain=log_domain, out=out[start:stop],
-            profiler=profiler,
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -1347,11 +1349,11 @@ def verify_plan(
 ) -> None:
     """Check a plan slot-by-slot against the legacy dense execution.
 
-    Replays the planned program on ``data`` and, after every kernel,
-    compares each freshly defined physical row **bit-exactly**
-    (``array_equal``, NaN-aware) against the corresponding row of the
-    legacy ``(n_slots, n_rows)`` slot matrix.  This is the ``check=True``
-    path of planned/sharded execution; a mismatch raises
+    Replays the planned program (the NumPy loop) on ``data`` and, after
+    every kernel, compares each freshly defined physical row
+    **bit-exactly** (``array_equal``, NaN-aware) against the corresponding
+    row of the legacy ``(n_slots, n_rows)`` slot matrix.  This is the
+    ``check=True`` path of planned/sharded execution; a mismatch raises
     :class:`~repro.spn.compiled.EngineMismatchError` naming the first
     diverging tape slot.
     """
@@ -1359,31 +1361,47 @@ def verify_plan(
 
     reference = tape.execute_slots(data, log_domain=log_domain)
     n_rows = data.shape[0]
-    block = np.empty((plan.n_physical, n_rows), dtype=np.float64)
-    for kernel in plan.kernels:
-        if kernel.encode is not None:
-            _encode_inputs(kernel.encode, block, data, log_domain)
-        a = _operand_block(kernel, block, log_domain, 0)
-        b = _operand_block(kernel, block, log_domain, 1)
-        dest = block[kernel.dest_start : kernel.dest_stop]
-        if log_domain:
-            np.logaddexp(a, b, out=dest) if kernel.op == OP_ADD else np.add(
-                a, b, out=dest
-            )
-        else:
-            np.add(a, b, out=dest) if kernel.op == OP_ADD else np.multiply(
-                a, b, out=dest
-            )
-        for offset, slot in enumerate(kernel.source_slots):
-            got = block[kernel.dest_start + offset]
+
+    def compare(kernel: PlannedKernel, dest: np.ndarray) -> None:
+        for got, slot in zip(dest, kernel.source_slots):
             want = reference[int(slot)]
             if not np.array_equal(got, want, equal_nan=True):
                 raise EngineMismatchError(
                     f"planned execution diverges from the legacy slot matrix "
                     f"at tape slot {int(slot)}: {got} vs {want}"
                 )
-    root = block[plan.root_phys]
+
+    block = np.empty((plan.n_physical, n_rows), dtype=np.float64)
+    root = _plan_loop(
+        plan, data, log_domain, np.empty(n_rows, dtype=np.float64), block,
+        inspect=compare,
+    )
     if not np.array_equal(root, reference[tape.root_slot], equal_nan=True):
         raise EngineMismatchError(
             "planned execution diverges from the legacy slot matrix at the root"
+        )
+
+
+def verify_native(plan: MemoryPlan, data: np.ndarray) -> None:
+    """Check the native kernel's roots bit for bit against the NumPy loop.
+
+    The ``check=True`` counterpart of :func:`verify_plan` for the program
+    that actually runs a linear pass: a no-op when the native kernel is
+    unavailable (the NumPy loop then *is* the program), otherwise any
+    difference on ``data`` raises
+    :class:`~repro.spn.compiled.EngineMismatchError`.
+    """
+    from .compiled import EngineMismatchError
+
+    kernel = native.plan_kernel(plan)
+    n_rows = data.shape[0]
+    got = np.empty(n_rows, dtype=np.float64)
+    if kernel is None or not kernel.run(data, got):
+        return
+    block = np.empty((plan.n_physical, n_rows), dtype=np.float64)
+    want = _plan_loop(plan, data, False, np.empty(n_rows, dtype=np.float64), block)
+    if not np.array_equal(got, want, equal_nan=True):
+        raise EngineMismatchError(
+            f"native plan kernel diverges from the NumPy planned loop: "
+            f"{got} vs {want}"
         )

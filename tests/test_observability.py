@@ -88,6 +88,51 @@ class TestMetricsRegistry:
         gauge.dec(4)
         assert gauge.value == 3.0
 
+    def test_tracked_gauge_reads_its_function(self):
+        gauge = MetricsRegistry().gauge("live")
+        depth = [7]
+        gauge.track(lambda: depth[0])
+        assert gauge.value == 7.0
+        depth[0] = 2
+        gauge.set(100)  # the stored value is not read while tracked
+        assert gauge.value == 2.0
+        assert MetricsRegistry().gauge("other").value == 0.0
+
+    def test_histogram_buckets_are_inclusive_upper_bounds(self):
+        hist = MetricsRegistry().histogram("lat", buckets=(0.1, 1.0))
+        for value in (0.1, 0.5, 1.0, 1.5, float("inf"), float("-inf"), float("nan")):
+            hist.observe(value)
+        buckets = hist.snapshot_value()["buckets"]
+        # -inf and 0.1 in the first bucket; nan and inf beyond every bound.
+        assert buckets == {"0.1": 2, "1.0": 2, "+Inf": 3}
+
+    def test_histogram_observe_many_matches_observe(self):
+        values = [0.0005, 0.003, 0.003, 0.2, 7.0, 12.0, float("nan"), 1e-4]
+        one, many = MetricsRegistry().histogram("a"), MetricsRegistry().histogram("b")
+        for value in values:
+            one.observe(value)
+        many.observe_many(values)
+        a, b = one.snapshot_value(), many.snapshot_value()
+        assert a["buckets"] == b["buckets"] and a["count"] == b["count"]
+        assert np.isnan(a["sum"]) and np.isnan(b["sum"])
+        finite = [v for v in values if v == v]
+        one, many = MetricsRegistry().histogram("a"), MetricsRegistry().histogram("b")
+        for value in finite:
+            one.observe(value)
+        many.observe_many(finite)
+        assert one.snapshot_value() == many.snapshot_value()  # same sum order
+        assert one.quantile(0.5) == many.quantile(0.5)
+
+    def test_clear_bumps_the_generation(self):
+        registry = MetricsRegistry()
+        before = registry.generation
+        counter = registry.counter("a")
+        counter.inc()
+        registry.clear()
+        assert registry.generation == before + 1
+        assert registry.snapshot() == {}
+        assert registry.counter("a") is not counter
+
     def test_histogram_quantiles_match_numpy(self):
         registry = MetricsRegistry()
         hist = registry.histogram("lat", window=100)
@@ -380,6 +425,17 @@ class TestServingMetricsIntegration:
         assert snap[key] == 1.0
         key = f'serving_rows_total{{kind="likelihood",model="{BENCHMARK}"}}'
         assert snap[key] == 1.0
+
+    def test_counters_follow_a_cleared_registry(self):
+        # The server holds its per-(model, kind) counter handles; after the
+        # process registry is cleared it must count into fresh instruments.
+        key = f'serving_requests_total{{kind="likelihood",model="{BENCHMARK}"}}'
+        with InferenceServer(models=[BENCHMARK]) as server:
+            server.query(BENCHMARK, {0: 1}, kind="likelihood")
+            assert REGISTRY.snapshot()[key] == 1.0
+            REGISTRY.clear()
+            server.query(BENCHMARK, {0: 1}, kind="likelihood")
+            assert REGISTRY.snapshot()[key] == 1.0
 
     def test_metrics_disabled_records_nothing(self):
         with observability_scope(metrics=False):

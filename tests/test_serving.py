@@ -156,6 +156,61 @@ class TestMicroBatchQueue:
         q = MicroBatchQueue(BatchingPolicy())
         assert q.get_batch(timeout=0.01) == []
 
+    def test_collecting_consumer_woken_once_its_batch_can_fill(self):
+        # A consumer inside its batch window is woken when the queue holds
+        # enough to complete its batch, not once per admitted item: per-item
+        # wakeups would trade the GIL with the submitter on every request.
+        q = MicroBatchQueue(BatchingPolicy(max_batch_size=4, max_wait_s=10.0))
+        wakes = []
+        notify = q._not_empty.notify
+        q._not_empty.notify = lambda n=1: (wakes.append(n), notify(n))
+        got = {}
+        consumer = threading.Thread(target=lambda: got.setdefault("batch", q.get_batch()))
+        consumer.start()
+        deadline = time.monotonic() + 5.0
+        while not q._idle_consumers and time.monotonic() < deadline:
+            time.sleep(0.001)
+        q.put(_item(0))  # wakes the idle consumer: it takes the first item
+        while not q._fill_marks and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert q._fill_marks == [3]
+        q.put(_item(1))
+        q.put(_item(2))
+        assert len(wakes) == 1 and consumer.is_alive()
+        start = time.perf_counter()
+        q.put(_item(3))  # the batch can fill now
+        consumer.join(timeout=5.0)
+        assert time.perf_counter() - start < 1.0  # not the 10 s window
+        assert len(wakes) == 2
+        assert [item.row for item in got["batch"]] == [0, 1, 2, 3]
+
+    def test_full_queue_wakes_collecting_consumer(self):
+        # The fill mark never exceeds the depth bound: a full queue wakes a
+        # consumer collecting a batch larger than the queue can hold.
+        q = MicroBatchQueue(
+            BatchingPolicy(max_queue_depth=2, max_batch_size=8, max_wait_s=10.0)
+        )
+        got = {}
+        consumer = threading.Thread(target=lambda: got.setdefault("batch", q.get_batch()))
+        consumer.start()
+        for i in range(8):
+            q.put(_item(i), timeout=5.0)  # never waits out the 10 s window
+        consumer.join(timeout=5.0)
+        assert not consumer.is_alive()
+        assert [item.row for item in got["batch"]] == list(range(8))
+
+    def test_depth_gauge_reads_live_depth(self):
+        from repro.observability import MetricsRegistry
+
+        gauge = MetricsRegistry().gauge("depth")
+        q = MicroBatchQueue(BatchingPolicy(max_batch_size=2), depth_gauge=gauge)
+        assert gauge.value == 0.0
+        for i in range(3):
+            q.put(_item(i))
+        assert gauge.value == 3.0
+        q.get_batch()
+        assert gauge.value == 1.0
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             BatchingPolicy(max_batch_size=0)
@@ -284,6 +339,92 @@ class TestServerCorrectness:
         delivered.deliver(0, 2.5)
         delivered.fail(RuntimeError("late"))  # ignored: already resolved
         assert delivered.future.result(timeout=1)[0] == 2.5
+
+    def test_request_cancellation_releases_its_slot_once(self):
+        # The submitted future is the request itself: cancelling it claims
+        # the request, so its slot is released exactly once and a worker
+        # can no longer deliver into it; a claimed request cannot be
+        # cancelled, like a running one.
+        from concurrent.futures import Future
+
+        from repro.serving.server import _PendingRequest
+
+        releases = []
+        queued = _PendingRequest(
+            "m", KIND_LIKELIHOOD, 2, ServingMetrics(), on_done=releases.append
+        )
+        assert isinstance(queued, Future) and queued.future is queued
+        assert queued.cancel() and queued.cancel()  # idempotent, as Future.cancel
+        assert releases == [queued] and queued.cancelled() and queued.abandoned
+        assert not queued.fill(0, 1.0)  # rows arriving later are dropped
+
+        completed = _PendingRequest(
+            "m", KIND_LIKELIHOOD, 1, ServingMetrics(), on_done=releases.append
+        )
+        completed.deliver(0, 3.5)
+        assert not completed.cancel()
+        assert completed.result(timeout=1)[0] == 3.5
+        assert releases == [queued, completed]
+
+        claimed = _PendingRequest("m", KIND_LIKELIHOOD, 1, ServingMetrics())
+        assert claimed.fill(0, 4.0)  # a worker claimed it; not yet resolved
+        assert not claimed.cancel() and not claimed.done()
+
+    def test_failing_assembly_fails_only_its_own_request(self):
+        # Requests completed by one engine call resolve together; one whose
+        # result cannot be assembled fails with that error, and every other
+        # request of the call still resolves and frees its slot.
+        from repro.serving.server import _PendingRequest, _resolve
+
+        metrics, releases = ServingMetrics(), []
+        requests = [
+            _PendingRequest("m", KIND_LIKELIHOOD, 1, metrics, on_done=releases.append)
+            for _ in range(3)
+        ]
+        for i, request in enumerate(requests):
+            assert request.fill(0, float(i))
+        requests[1]._results[0] = object()  # no float: assembly raises
+        _resolve(requests, metrics)
+        assert requests[0].result(timeout=1)[0] == 0.0
+        assert requests[2].result(timeout=1)[0] == 2.0
+        with pytest.raises(TypeError):
+            requests[1].result(timeout=1)
+        assert releases == requests
+        assert metrics.n_requests == 2  # the failed request is not counted
+
+    def test_cancelled_request_frees_admission_slot(self, rows):
+        policy = BatchingPolicy(max_batch_size=64, max_wait_s=0.3)
+        with InferenceServer(models=[BENCHMARK], policy=policy, max_in_flight=1) as server:
+            queued = server.submit(BENCHMARK, rows[0], kind=KIND_LIKELIHOOD)
+            assert server.in_flight() == 1
+            assert queued.cancel()
+            assert server.in_flight() == 0
+            served = server.submit(BENCHMARK, rows[1], kind=KIND_LIKELIHOOD)
+            assert served.result(timeout=30).shape == (1,)
+        assert server.in_flight() == 0
+
+    def test_plain_evidence_admission_matches_the_typed_query_path(self, rows):
+        # Plain evidence of the evidence-only kinds skips building a query
+        # object; kind, rows and group key must be what the typed query of
+        # the same evidence yields, for every form the row can arrive in.
+        from repro.api.queries import query_type
+
+        server = InferenceServer(models=[BENCHMARK])
+        served = server.model(BENCHMARK)
+        row = np.asarray(rows[0], dtype=np.int64)
+        for kind in (KIND_LIKELIHOOD, KIND_LOG_LIKELIHOOD, "marginal", KIND_MPE, None):
+            typed = query_type(kind or KIND_LOG_LIKELIHOOD)(evidence=row)
+            want_kind, want_rows, want_key = server._admit(served, typed, None)
+            assert want_key == typed.group_key()
+            for form in (row, row[None, :], row.astype(np.int8), row.tolist()):
+                got_kind, got_rows, got_key = server._admit(served, form, kind)
+                assert (got_kind, got_key) == (want_kind, want_key)
+                assert len(got_rows) == 1 and got_rows[0].dtype == np.int64
+                assert np.array_equal(got_rows[0], want_rows[0])
+        first = server._admit(served, row, KIND_LIKELIHOOD)[1][0]
+        assert not np.shares_memory(first, row)  # a snapshot, not a view
+        with pytest.raises(ValueError, match="unknown query kind"):
+            server._admit(served, row, ["likelihood"])  # unhashable: no kind
 
     def test_submitted_rows_do_not_alias_caller_buffer(self, spn, rows):
         # A streaming client may reuse its read buffer immediately after
